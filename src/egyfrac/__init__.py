@@ -1,11 +1,11 @@
 """Exact arithmetic for Egyptian fraction bounds.
 
-Everything runs on `fractions.Fraction`: greedy and exhaustive unit-fraction
-representations, generalized Sylvester sequences, sharp sum-gap and lcm
-bounds with their extremal tuples and equality families, dominance lemmas
-for nonincreasing sequences, an exhaustive verification oracle, and the
-dictionary translating boundary structures on projective space into
-deficiency questions.
+Everything is exact, with `fractions.Fraction` at the API: greedy and
+exhaustive unit-fraction representations, generalized Sylvester sequences,
+sharp sum-gap and lcm bounds with their extremal tuples and equality
+families, dominance lemmas for nonincreasing sequences, an exhaustive
+verification oracle, and the dictionary translating boundary structures on
+projective space into deficiency questions.
 """
 
 from .bounds import (
@@ -61,10 +61,8 @@ from .oracle import (
 )
 from .rationals import (
     SRQ,
-    Rational,
     canonical_q,
     floor_frac,
-    make_rational,
     near_one_check,
     parse_rational,
     rational_str,
@@ -98,7 +96,6 @@ __all__ = [
     "LogStructure",
     "ONE",
     "PositiveSequence",
-    "Rational",
     "SRQ",
     "SearchStats",
     "StandardCoefficient",
@@ -124,7 +121,6 @@ __all__ = [
     "iter_exact",
     "lcm_bound",
     "lcm_square_check",
-    "make_rational",
     "max_lcm_search",
     "near_one_check",
     "parse_rational",

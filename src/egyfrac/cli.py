@@ -68,8 +68,10 @@ class _Parser(argparse.ArgumentParser):
 def _rational(text: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _denominators(text: str) -> tuple[int, ...]:
@@ -82,10 +84,7 @@ def _denominators(text: str) -> tuple[int, ...]:
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rational(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+    return tuple(_rational(part) for part in text.split(","))
 
 
 def _coefficients(text: str) -> tuple[StandardCoefficient, ...]:
@@ -402,7 +401,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`): send what is still
+        # buffered, flushed again at interpreter exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, ZeroDivisionError) as e:
         print(f"egyfrac: error: {e}", file=sys.stderr)
         return 1

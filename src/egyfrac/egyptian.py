@@ -71,17 +71,50 @@ def split_expand(t: Iterable[int], index: int) -> EgyptianTuple:
     return tuple(sorted(expanded))
 
 
-def position_range(prev: int, remaining: Fraction, slots: int) -> range:
-    """Admissible denominators at one enumeration position.
+def position_range(
+    prev: int, slots: int, room: tuple[int, int], need: tuple[int, int]
+) -> range:
+    """Admissible denominators at one enumeration position, in integers.
 
-    With remaining > 0 still to cover and `slots` terms left to place, the
-    next denominator m needs 1/m <= remaining (no overshoot) and
-    slots/m >= remaining (even repeating m everywhere must not fall short),
-    alongside m >= prev to keep the tuple nondecreasing.
+    room = (p, q) stands for p/q > 0, the most the next term 1/m may add (no
+    overshoot); need = (p, q) for what the `slots` terms left must still
+    cover, so slots/m >= need (even repeating m everywhere must not fall
+    short). m >= prev keeps the tuple nondecreasing.
     """
-    lo = max(prev, math.ceil(1 / remaining))
-    hi = math.floor(slots / remaining)
+    lo = max(prev, -(-room[1] // room[0]))
+    hi = slots * need[1] // need[0]
     return range(lo, hi + 1)
+
+
+def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
+    """Depth-first walk over nondecreasing prefixes of k-term tuples, in
+    lexicographic order, with the prefix sum kept as a reduced integer pair.
+
+    Yields (prefix, slots, side, num, den) for every visited prefix, the
+    empty one first: slots terms are still to place, num/den is the prefix
+    sum, and side is an integer whose sign places that sum below (< 0), on
+    (0) or above (> 0) low. Only a prefix below low with slots left gets
+    children, the m in position_range with room cap - sum and need
+    low - sum; cap >= low. The yielded list is reused: copy it to keep it.
+    """
+    a, b = low.numerator, low.denominator
+    c, d = cap.numerator, cap.denominator
+    prefix: list[int] = []
+
+    def visit(prev: int, num: int, den: int):
+        slots = k - len(prefix)
+        side = num * b - a * den
+        yield prefix, slots, side, num, den
+        if side < 0 and slots:
+            room = (c * den - num * d, d * den)
+            for m in position_range(prev, slots, room, (-side, b * den)):
+                prefix.append(m)
+                child_num, child_den = num * m + den, den * m
+                g = math.gcd(child_num, child_den)
+                yield from visit(m, child_num // g, child_den // g)
+                prefix.pop()
+
+    return visit(1, 0, 1)
 
 
 def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
@@ -91,22 +124,9 @@ def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
         raise ValueError(f"target sum must be nonnegative, got {x}")
     if k < 0:
         raise ValueError(f"term count must be nonnegative, got {k}")
-
-    prefix: list[int] = []
-
-    def walk(prev: int, remaining: Fraction, slots: int) -> Iterator[EgyptianTuple]:
-        if slots == 0:
-            if not remaining:
-                yield tuple(prefix)
-            return
-        if remaining <= 0:
-            return  # positive terms cannot close a zero gap
-        for m in position_range(prev, remaining, slots):
-            prefix.append(m)
-            yield from walk(m, remaining - Fraction(1, m), slots - 1)
-            prefix.pop()
-
-    yield from walk(1, x, k)
+    for prefix, slots, side, _, _ in walk(k, x, x):
+        if not slots and not side:
+            yield tuple(prefix)
 
 
 def enumerate_exact(x, k: int) -> list[EgyptianTuple]:

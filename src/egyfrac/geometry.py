@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import canonical_q, srq_decompose
-from .sylvester import sylvester_u
+from .bounds import gap_amount, lcm_bound
+from .rationals import canonical_q
 
 
 @dataclass(frozen=True)
@@ -89,58 +89,46 @@ def deficiency(ls: LogStructure) -> Fraction:
     return ls.dim - ls.ones_count + 1 + volume(ls)
 
 
+def _threshold(dim: int, t) -> Fraction:
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    t = Fraction(t)
+    if t < 0:
+        raise ValueError(f"threshold must be >= 0, got {t}")
+    return t
+
+
 def gap_bound(dim: int, t, q: int) -> Fraction:
     """When the volume exceeds a threshold t >= 0, it exceeds it by at least
-    q*(1 - frac(t)) / u(floor(t) + dim + 3, q).
+    q*(1 - frac(t)) / u(floor(t) + dim + 3, q): the gap amount at the
+    deficiency delta = t + dim + 1 of a structure with no coefficient one.
 
     Requires q*t integral. This is the coefficient-count-free bound; see
     refined_index_bound for the sharper index that uses the number of
     coefficients equal to one.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
-    d = srq_decompose(t, q)  # s = floor(t) + 1, r = q*(1 - frac(t))
-    return Fraction(d.r, sylvester_u(d.s + dim + 2, q))
+    return gap_amount(_threshold(dim, t) + dim + 1, q)
 
 
 def index_bound(dim: int, t, q: int) -> Fraction:
     """Volume exactly at the threshold t caps the clearing index r by
-    u(floor(t) + dim + 2, q) / (q*(1 - frac(t))).
+    u(floor(t) + dim + 2, q) / (q*(1 - frac(t))): the lcm bound at the
+    deficiency delta = t + dim + 1 of a structure with no coefficient one.
 
     Requires t >= 0 with q*t integral.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
-    d = srq_decompose(t, q)
-    return Fraction(sylvester_u(d.s + dim + 1, q), d.r)
+    return lcm_bound(_threshold(dim, t) + dim + 1, q)
 
 
 def refined_index_bound(dim: int, ones: int, t, q: int) -> Fraction:
     """Sharper index cap u(floor(t) + dim - ones + 2, q) / (q*(1 - frac(t)))
-    available when `ones` coefficients equal one.
-
-    The index floor(t) + dim - ones + 2 must stay >= 1.
+    available when `ones` coefficients equal one: the lcm bound at the
+    deficiency delta = t + dim - ones + 1, which must stay >= 0.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    t = _threshold(dim, t)
     if ones < 0:
         raise ValueError(f"ones count must be >= 0, got {ones}")
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
-    d = srq_decompose(t, q)
-    index = d.s + dim - ones + 1
-    if index < 1:
-        raise ValueError(
-            f"refined index {index} below 1 (dim={dim}, ones={ones}, t={t})"
-        )
-    return Fraction(sylvester_u(index, q), d.r)
+    return lcm_bound(t + dim - ones + 1, q)
 
 
 def bpf_index(ls: LogStructure) -> int:

@@ -26,7 +26,7 @@ from .bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from .egyptian import as_tuple, iter_exact, tuple_lcm, tuple_sum
+from .egyptian import as_tuple, iter_exact, tuple_lcm, tuple_sum, walk
 from .rationals import canonical_q
 from .report import Counterexample, EqualityWitness, SearchStats, VerificationReport
 
@@ -56,27 +56,24 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
     witnesses: list[EqualityWitness] = []
     nodes = 0
     exceeded = False
-    prefix: list[int] = []
-
-    def visit(prev: int, total: Fraction, slots: int) -> None:
-        nonlocal nodes, exceeded
-        if exceeded:
-            return
+    # cap k + 1 never binds: a child of a prefix P < bound <= k sums to at
+    # most P + 1 < k + 1, so its children are every m >= prev up to the
+    # slots/m >= bound - P limit
+    for prefix, slots, side, num, den in walk(k, bound, k + 1):
         nodes += 1
         if nodes > budget:
             exceeded = True
-            return
-        if total >= top:
-            return  # at or past the window top; sums only grow
-        if total > bound:
+            break
+        if num * top.denominator >= top.numerator * den:
+            continue  # at or past the window top; sums only grow
+        if side > 0:
             claim = (
                 "sum inside forbidden window"
                 if slots == 0
                 else "prefix completable into forbidden window"
             )
             counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
-            return
-        if total == bound:
+        elif side == 0:
             if slots == 0:
                 tag = classify_equality(prefix, delta, q).tag.value
                 witnesses.append(EqualityWitness(tuple(prefix), delta, q, tag))
@@ -89,18 +86,6 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
                         q,
                     )
                 )
-            return
-        if slots == 0:
-            return  # leaf strictly below the bound
-        hi = math.floor(slots / (bound - total))
-        for m in range(max(prev, 1), hi + 1):
-            prefix.append(m)
-            visit(m, total + Fraction(1, m), slots - 1)
-            prefix.pop()
-            if exceeded:
-                return
-
-    visit(1, Fraction(0), k)
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(
         passed=not counterexamples and not exceeded,
@@ -209,7 +194,8 @@ class SweepConfig:
     """Grid for sweep: k = 1..k_max crossed with every delta and its q set.
 
     q_mode is either 'canonical' (the reduced denominator of delta) or
-    'all-upto:N' (every multiple of the canonical q up to N).
+    'all-upto:N' (every multiple of the canonical q up to N; an N below
+    some delta's canonical q is an error, not a skipped delta).
     """
 
     k_max: int
@@ -227,7 +213,12 @@ def _qs_for(delta: Fraction, q_mode: str) -> list[int]:
             limit = int(q_mode.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed q mode: {q_mode!r}") from None
-        return [q for q in range(base, limit + 1) if q % base == 0]
+        if limit < base:
+            raise ValueError(
+                f"q mode {q_mode!r} leaves no q for delta={delta}, "
+                f"whose canonical q is {base}"
+            )
+        return list(range(base, limit + 1, base))
     raise ValueError(f"unknown q mode: {q_mode!r}")
 
 

@@ -1,8 +1,8 @@
 """Exact rational arithmetic and the shortfall decomposition delta = s - r/q.
 
-Every quantity in this package is a `fractions.Fraction`: stored reduced,
-denominator positive, so equality is structural and values hash cleanly.
-There is no floating point anywhere.
+Every rational this package takes or returns is a `fractions.Fraction`:
+stored reduced, denominator positive, so equality is structural and values
+hash cleanly. There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,21 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 # wire format: optional sign, digits, optional '/digits' -- no floats
 _RATIONAL_FORMAT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Reduced fraction num/den; the sign is carried by the numerator.
-
-    >>> make_rational(4, 6)
-    Fraction(2, 3)
-    """
-    if den == 0:
-        raise ZeroDivisionError("denominator must be nonzero")
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through main(argv): formats, exit codes, env."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -135,6 +137,27 @@ def test_version_and_usage_errors(capsys):
     assert "malformed rational" in err
 
 
+def test_zero_denominator_usage_error(capsys):
+    code, _, err = run(capsys, "greedy", "1/0")
+    assert code == 1
+    assert "argument x: zero denominator in '1/0'" in err
+    code, _, err = run(capsys, "oracle", "--k-max", "2", "--delta-list", "0,1/0")
+    assert code == 1
+    assert "argument --delta-list: zero denominator in '1/0'" in err
+
+
+def test_closed_stdout_pipe_exits_quietly(capsys, monkeypatch):
+    # a reader that has gone away, as with `egyfrac oracle ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed_pipe:
+        monkeypatch.setattr(sys, "stdout", closed_pipe)
+        code = main(["oracle", "--k-max", "3", "--delta-list", "-1,0,1/2,1"])
+        monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_csv_unsupported_command(capsys):
     code, _, err = run(capsys, "gap", "--delta", "2", "--format", "csv")
     assert code == 1
@@ -173,6 +196,15 @@ def test_oracle_budget_env(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--k-max", "2", "--delta-list", "0")
     assert code == 1
     assert err.startswith("egyfrac: error:")
+
+
+def test_oracle_rejects_delta_left_without_q(capsys):
+    # delta=1/2 needs q=2, so all-upto:1 would check delta=1 alone
+    code, out, err = run(capsys, "oracle", "--k-max", "2", "--delta-list",
+                         "1,1/2", "--q-mode", "all-upto:1")
+    assert code == 1
+    assert out == ""
+    assert "leaves no q for delta=1/2" in err
 
 
 def test_oracle_text_is_byte_deterministic(capsys):

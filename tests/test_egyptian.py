@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egyfrac.egyptian import (
     as_tuple,
@@ -187,9 +189,32 @@ def test_position_range_replay():
         for t in iter_exact(x, k):
             prev, rem = 1, x
             for i, m in enumerate(t):
-                assert m in position_range(prev, rem, k - i)
+                pair = (rem.numerator, rem.denominator)
+                assert m in position_range(prev, k - i, pair, pair)
                 prev, rem = m, rem - Fraction(1, m)
             assert rem == 0
+
+
+def _brute_exact(x: Fraction, k: int) -> list[tuple[int, ...]]:
+    """Scan every nondecreasing (k-1)-entry head up to a fixed cap and solve
+    for the last entry. With x - (sum of the first j-1 terms) a positive
+    multiple of 1/(x.denominator * m_1 * ... * m_{j-1}), the j-th entry is at
+    most (k - j + 1) * x.denominator * m_1 * ... * m_{j-1}, which for k <= 3
+    never exceeds (k * x.denominator) ** 2."""
+    out = []
+    cap = (k * x.denominator) ** 2
+    for head in itertools.combinations_with_replacement(range(1, cap + 1), k - 1):
+        rest = x - tuple_sum(head)
+        if rest > 0 and rest.numerator == 1 and rest.denominator >= max(head, default=1):
+            out.append(head + (rest.denominator,))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), q=st.integers(1, 3), data=st.data())
+def test_iter_exact_matches_brute_force(k, q, data):
+    x = Fraction(data.draw(st.integers(0, k * q + 1)), q)
+    assert list(iter_exact(x, k)) == _brute_exact(x, k)
 
 
 def test_enumerate_deficiency():

@@ -19,7 +19,8 @@ from egyfrac.geometry import (
     refined_index_bound,
     volume,
 )
-from egyfrac.rationals import canonical_q
+from egyfrac.rationals import canonical_q, srq_decompose
+from egyfrac.sylvester import sylvester_u
 
 F = Fraction
 
@@ -107,6 +108,30 @@ def test_refined_index_bound():
             assert refined_index_bound(dim, 0, t, q) == index_bound(dim, t, q)
     with pytest.raises(ValueError):
         refined_index_bound(1, 3, 0, 1)  # index drops below 1
+
+
+def test_threshold_bounds_match_sylvester_formulas():
+    # the three bounds written out in u(p, q) directly, with
+    # s = floor(t) + 1 and r = q*(1 - frac(t)) from the threshold
+    cases = 0
+    for dim in range(1, 5):
+        for q in range(1, 5):
+            for n in range(0, 4 * q + 1):
+                t = F(n, q)
+                d = srq_decompose(t, q)
+                assert gap_bound(dim, t, q) == F(d.r, sylvester_u(d.s + dim + 2, q))
+                assert index_bound(dim, t, q) == F(sylvester_u(d.s + dim + 1, q), d.r)
+                for ones in range(0, dim + d.s + 2):
+                    index = d.s + dim - ones + 1
+                    if index < 1:
+                        with pytest.raises(ValueError):
+                            refined_index_bound(dim, ones, t, q)
+                    else:
+                        assert refined_index_bound(dim, ones, t, q) == F(
+                            sylvester_u(index, q), d.r
+                        )
+                cases += 1
+    assert cases == 176
 
 
 def test_refined_bound_monotone_in_ones():

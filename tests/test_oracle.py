@@ -1,11 +1,19 @@
 """Window and lcm verification searches, plus the grid sweep around them."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from egyfrac.bounds import extremal_gap_tuple, lcm_bound, sharp_sum_bound
+from egyfrac import oracle
+from egyfrac.bounds import (
+    classify_equality,
+    extremal_gap_tuple,
+    gap_amount,
+    lcm_bound,
+    sharp_sum_bound,
+)
 from egyfrac.egyptian import tuple_sum
 from egyfrac.oracle import (
     SweepConfig,
@@ -14,6 +22,7 @@ from egyfrac.oracle import (
     sweep,
     window_search,
 )
+from egyfrac.report import Counterexample, EqualityWitness
 
 F = Fraction
 
@@ -81,6 +90,106 @@ def test_window_budget_exhaustion():
     assert report.budget_exceeded
     assert report.counterexamples == []  # ran out, found nothing wrong
     assert report.stats.nodes == 4  # the node that tripped the limit counts
+
+
+def _reference_window(k: int, delta: F, q: int, budget: int, bound: F):
+    """The original recursive Fraction traversal behind window_search, kept
+    as the reference for the integer walker: returns (nodes, counterexamples,
+    witnesses, budget_exceeded) for the window (bound, k - delta)."""
+    top = k - delta
+    counterexamples, witnesses = [], []
+    nodes = 0
+    exceeded = False
+    prefix = []
+
+    def visit(prev, total, slots):
+        nonlocal nodes, exceeded
+        if exceeded:
+            return
+        nodes += 1
+        if nodes > budget:
+            exceeded = True
+            return
+        if total >= top:
+            return
+        if total > bound:
+            claim = (
+                "sum inside forbidden window"
+                if slots == 0
+                else "prefix completable into forbidden window"
+            )
+            counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
+            return
+        if total == bound:
+            if slots == 0:
+                tag = classify_equality(prefix, delta, q).tag.value
+                witnesses.append(EqualityWitness(tuple(prefix), delta, q, tag))
+            else:
+                counterexamples.append(
+                    Counterexample(
+                        "boundary prefix completable into forbidden window",
+                        tuple(prefix),
+                        delta,
+                        q,
+                    )
+                )
+            return
+        if slots == 0:
+            return
+        hi = math.floor(slots / (bound - total))
+        for m in range(max(prev, 1), hi + 1):
+            prefix.append(m)
+            visit(m, total + F(1, m), slots - 1)
+            prefix.pop()
+            if exceeded:
+                return
+
+    visit(1, F(0), k)
+    return nodes, counterexamples, witnesses, exceeded
+
+
+def _assert_matches_reference(k, delta, q, budget=oracle.DEFAULT_BUDGET):
+    report = window_search(k, delta, q, budget=budget)
+    bound = report.parameters["sharp_sum_bound"]
+    assert (
+        report.stats.nodes,
+        report.counterexamples,
+        report.equality_witnesses,
+        report.budget_exceeded,
+    ) == _reference_window(k, delta, q, budget, bound), (k, delta, q, budget)
+
+
+WALKER_CELLS = [
+    (k, delta, q)
+    for k in range(1, 6)
+    for delta in (F(n, 2) for n in range(-2, 7))
+    for q in range(delta.denominator, 5, delta.denominator)
+]
+
+
+def test_window_walker_matches_reference():
+    assert len(WALKER_CELLS) == 140
+    for cell in WALKER_CELLS:
+        _assert_matches_reference(*cell)
+
+
+@pytest.mark.parametrize("k,delta,q", [(4, F(2), 1), (5, F(5, 2), 2)])
+def test_window_walker_matches_reference_under_budget(k, delta, q):
+    for budget in range(1, 41):
+        _assert_matches_reference(k, delta, q, budget)
+
+
+@pytest.mark.parametrize("k,delta,q", [(3, F(2), 1), (4, F(3, 2), 2), (5, F(3), 1)])
+def test_window_walker_matches_reference_on_counterexamples(k, delta, q, monkeypatch):
+    # a floor lowered by one more gap puts the true floor tuples inside the
+    # window, so both traversals must report the same counterexamples
+    def lowered(k, delta, q):
+        return sharp_sum_bound(k, delta, q) - gap_amount(delta, q)
+
+    monkeypatch.setattr(oracle, "sharp_sum_bound", lowered)
+    report = window_search(k, delta, q)
+    assert report.counterexamples
+    _assert_matches_reference(k, delta, q)
 
 
 def test_window_rejects_bad_input():
@@ -215,5 +324,7 @@ def test_sweep_rejects_bad_config():
         sweep(SweepConfig(k_max=2, deltas=(F(0),), q_mode="weird"))
     with pytest.raises(ValueError):
         sweep(SweepConfig(k_max=2, deltas=(F(0),), q_mode="all-upto:x"))
+    with pytest.raises(ValueError):
+        sweep(SweepConfig(k_max=2, deltas=(F(1), F(1, 2)), q_mode="all-upto:1"))
     with pytest.raises(ValueError):
         sweep(SweepConfig(k_max=2, deltas=(F(0),), budget=0))

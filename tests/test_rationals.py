@@ -9,24 +9,11 @@ from egyfrac.rationals import (
     SRQ,
     canonical_q,
     floor_frac,
-    make_rational,
     near_one_check,
     parse_rational,
     rational_str,
     srq_decompose,
 )
-
-
-def test_make_rational_reduces():
-    assert make_rational(4, 6) == Fraction(2, 3)
-    assert make_rational(-4, 6) == Fraction(-2, 3)
-    assert make_rational(4, -6) == Fraction(-2, 3)
-    assert make_rational(7) == Fraction(7)
-
-
-def test_make_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        make_rational(1, 0)
 
 
 def test_parse_rational_grammar():
