@@ -76,7 +76,6 @@ from .report import (
     report_to_dict,
 )
 from .sylvester import (
-    DEFAULT_DEPTH_CAP,
     SylvesterTable,
     check_identities,
     sylvester_term,
@@ -87,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "DEFAULT_DEPTH_CAP",
     "Counterexample",
     "EgyptianTuple",
     "EqualityCase",

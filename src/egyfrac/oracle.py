@@ -7,9 +7,9 @@ to k - delta and compares every lcm against lcm_bound. sweep runs both over
 a parameter grid and cross-checks all equality witnesses against the
 extremal constructors.
 
-All searches are deterministic (lexicographic traversal) and carry a node
-budget; running out of budget is reported as its own failure mode, never as
-a counterexample.
+Both searches iterate egyptian.walk, in lexicographic order, and count
+every prefix it yields as one node against their budget; running out of
+budget is reported as its own failure mode, never as a counterexample.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from .egyptian import as_tuple, iter_exact, tuple_lcm, tuple_sum, walk
+from .egyptian import as_tuple, tuple_lcm, tuple_sum, walk
 from .rationals import canonical_q
 from .report import Counterexample, EqualityWitness, SearchStats, VerificationReport
 
@@ -88,7 +88,6 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
                 )
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(
-        passed=not counterexamples and not exceeded,
         parameters={
             "k": k,
             "delta": delta,
@@ -145,41 +144,45 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         raise ValueError(f"budget must be positive, got {budget}")
     delta = Fraction(delta)
     bound = lcm_bound(delta, q)  # validates delta >= 0 and q
+    target = k - delta
     t0 = time.perf_counter()
     counterexamples: list[Counterexample] = []
     witnesses: list[EqualityWitness] = []
     maximizers: list[tuple[int, ...]] = []
     max_lcm = 0
     count = 0
+    nodes = 0
     exceeded = False
-    target = k - delta
-    if 0 <= target <= k:
-        for t in iter_exact(target, k):
-            count += 1
-            if count > budget:
-                exceeded = True
-                break
-            lcm_value = tuple_lcm(t)
-            if lcm_value > bound:
-                counterexamples.append(Counterexample("lcm above bound", t, delta, q))
-            if lcm_value % q == 0 and not lcm_square_check(t, q):
-                counterexamples.append(
-                    Counterexample("lcm square inequality violated", t, delta, q)
-                )
-            if lcm_value > max_lcm:
-                max_lcm, maximizers = lcm_value, [t]
-            elif lcm_value == max_lcm:
-                maximizers.append(t)
-            if lcm_value == bound:
-                tag = classify_equality(t, delta, q).tag.value
-                witnesses.append(EqualityWitness(t, delta, q, tag))
+    # a negative target (delta > k) leaves the root above it: no children
+    for prefix, slots, side, _, _ in walk(k, target, target):
+        nodes += 1
+        if nodes > budget:
+            exceeded = True
+            break
+        if slots or side:
+            continue
+        t = tuple(prefix)
+        count += 1
+        lcm_value = tuple_lcm(t)
+        if lcm_value > bound:
+            counterexamples.append(Counterexample("lcm above bound", t, delta, q))
+        if lcm_value % q == 0 and not lcm_square_check(t, q):
+            counterexamples.append(
+                Counterexample("lcm square inequality violated", t, delta, q)
+            )
+        if lcm_value > max_lcm:
+            max_lcm, maximizers = lcm_value, [t]
+        elif lcm_value == max_lcm:
+            maximizers.append(t)
+        if lcm_value == bound:
+            tag = classify_equality(t, delta, q).tag.value
+            witnesses.append(EqualityWitness(t, delta, q, tag))
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(
-        passed=not counterexamples and not exceeded,
         parameters={"k": k, "delta": delta, "q": q, "lcm_bound": bound},
         counterexamples=counterexamples,
         equality_witnesses=witnesses,
-        stats=SearchStats(nodes=count, millis=millis),
+        stats=SearchStats(nodes=nodes, millis=millis),
         budget_exceeded=exceeded,
         details={
             "class_size": count,
@@ -226,8 +229,9 @@ def sweep(config: SweepConfig) -> VerificationReport:
     """Run window and lcm searches over the grid and cross-check every
     equality witness list against the extremal constructors.
 
-    The report aggregates all counterexamples and witnesses; passed requires
-    a clean, budget-complete run. An empty grid passes with zero stats.
+    The report aggregates all counterexamples and witnesses; the searches
+    share config.budget, counted in walker nodes, and the sweep stops at the
+    search that runs out of it. An empty grid passes with zero stats.
     """
     if config.k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {config.k_max}")
@@ -243,23 +247,32 @@ def sweep(config: SweepConfig) -> VerificationReport:
         for q in _qs_for(delta, config.q_mode)
         for k in range(1, config.k_max + 1)
     ]
+    gap = (window_search, extremal_gap_tuple, "gap")
+    lcm = (max_lcm_search, extremal_lcm_tuple, "lcm")
+    checks = [
+        (k, delta, q, check)
+        for delta, q, k in cells
+        for check in ((gap, lcm) if delta >= 0 else (gap,))
+    ]
 
     t0 = time.perf_counter()
     counterexamples: list[Counterexample] = []
     witnesses: list[EqualityWitness] = []
     nodes = 0
     exceeded = False
-
-    def absorb(report: VerificationReport, expected, kind: str) -> bool:
-        """Merge one sub-report; return False once the budget is gone."""
-        nonlocal nodes, exceeded
+    for k, delta, q, (search, extremal, kind) in checks:
+        exceeded = nodes >= config.budget
+        if exceeded:
+            break
+        report = search(k, delta, q, budget=config.budget - nodes)
         nodes += report.stats.nodes
         counterexamples.extend(report.counterexamples)
         witnesses.extend(report.equality_witnesses)
-        if report.budget_exceeded:
-            exceeded = True
-            return False
+        exceeded = report.budget_exceeded
+        if exceeded:
+            break
         found = [w.denominators for w in report.equality_witnesses]
+        expected = extremal(k, delta, q)
         wanted = [] if expected is None else [expected]
         if found != wanted:
             counterexamples.append(
@@ -267,8 +280,8 @@ def sweep(config: SweepConfig) -> VerificationReport:
                     f"{kind} equality witnesses {found} do not match "
                     f"extremal construction {wanted}",
                     found[0] if found else (expected or ()),
-                    report.parameters["delta"],
-                    report.parameters["q"],
+                    delta,
+                    q,
                 )
             )
         for w in report.equality_witnesses:
@@ -281,34 +294,9 @@ def sweep(config: SweepConfig) -> VerificationReport:
                         w.q,
                     )
                 )
-        return True
-
-    for delta, q, k in cells:
-        remaining = config.budget - nodes
-        if remaining < 1:
-            exceeded = True
-            break
-        if not absorb(
-            window_search(k, delta, q, budget=remaining),
-            extremal_gap_tuple(k, delta, q),
-            "gap",
-        ):
-            break
-        if delta >= 0:
-            remaining = config.budget - nodes
-            if remaining < 1:
-                exceeded = True
-                break
-            if not absorb(
-                max_lcm_search(k, delta, q, budget=remaining),
-                extremal_lcm_tuple(k, delta, q),
-                "lcm",
-            ):
-                break
 
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(
-        passed=not counterexamples and not exceeded,
         parameters={
             "k_max": config.k_max,
             "deltas": list(deltas),

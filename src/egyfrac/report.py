@@ -45,13 +45,16 @@ class VerificationReport:
     the counterexample list being empty.
     """
 
-    passed: bool
     parameters: dict[str, Any]
     counterexamples: list[Counterexample]
     equality_witnesses: list[EqualityWitness]
     stats: SearchStats
     budget_exceeded: bool = False
     details: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.counterexamples and not self.budget_exceeded
 
 
 def _generic(value):

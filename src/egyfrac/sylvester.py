@@ -17,37 +17,40 @@ from fractions import Fraction
 
 from .report import Counterexample, SearchStats, VerificationReport
 
-DEFAULT_DEPTH_CAP = 64
+# u(p+1, q) has about twice the bits of u(p, q), so a ceiling on bits stops a
+# runaway index within a few squarings: 2**20 bits admit u(21, 1) (709,033
+# bits) and refuse u(22, 1)
+MAX_BITS = 2**20
 
 
 class SylvesterTable:
     """Memoized prefix of u(., q) for one seed, grown lazily.
 
-    The depth cap guards against runaway doubly-exponential blowup; values
-    above it must be requested through a table built with a larger cap.
-    Extension happens under a lock, so shared tables are thread-safe.
+    No value past MAX_BITS bits is built: u raises ValueError before a
+    squaring whose product could pass the ceiling, so a huge index fails at
+    once instead of exhausting memory. Extension happens under a lock, so
+    shared tables are thread-safe.
     """
 
-    def __init__(self, q: int, depth_cap: int = DEFAULT_DEPTH_CAP):
+    def __init__(self, q: int):
         if not isinstance(q, int) or q < 1:
             raise ValueError(f"seed q must be a positive integer, got {q!r}")
-        if depth_cap < 1:
-            raise ValueError(f"depth cap must be positive, got {depth_cap}")
         self.q = q
-        self.depth_cap = depth_cap
         self._values = [q]
         self._lock = threading.Lock()
 
     def u(self, p: int) -> int:
         if not isinstance(p, int) or p < 1:
             raise ValueError(f"index p must be a positive integer, got {p!r}")
-        if p > self.depth_cap:
-            raise ValueError(
-                f"index p={p} exceeds the depth cap {self.depth_cap} for q={self.q}"
-            )
         with self._lock:
             while len(self._values) < p:
                 last = self._values[-1]
+                if 2 * last.bit_length() > MAX_BITS:
+                    raise ValueError(
+                        f"u({p}, {self.q}) passes the {MAX_BITS}-bit ceiling on "
+                        f"Sylvester values: u({len(self._values)}, {self.q}) "
+                        f"already has {last.bit_length()} bits"
+                    )
                 self._values.append(last * (last + 1))
             return self._values[p - 1]
 
@@ -115,7 +118,6 @@ def check_identities(p_max: int, q_max: int) -> VerificationReport:
                 )
     millis = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(
-        passed=not counterexamples,
         parameters={"p_max": p_max, "q_max": q_max},
         counterexamples=counterexamples,
         equality_witnesses=[],

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egyfrac.bounds import (
     EqualityCase,
@@ -15,7 +17,7 @@ from egyfrac.bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from egyfrac.egyptian import tuple_lcm, tuple_sum
+from egyfrac.egyptian import enumerate_deficiency, tuple_lcm, tuple_sum
 from egyfrac.rationals import floor_frac, srq_decompose
 from egyfrac.sylvester import sylvester_u
 
@@ -250,3 +252,26 @@ def test_first_two_companions_coprime_backs_presence_law():
     # the s >= 2, r > 1 exclusions above rest on this coprimality
     for q in range(1, 40):
         assert math.gcd(1 + sylvester_u(1, q), 1 + sylvester_u(2, q)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 3), q=st.integers(1, 3), data=st.data())
+def test_classify_equality_accepts_exactly_the_extremal_tuples(k, q, data):
+    delta = Fraction(data.draw(st.integers(-q, 3 * q)), q)
+    extremal = {extremal_gap_tuple(k, delta, q)}
+    if delta >= 0:
+        extremal.add(extremal_lcm_tuple(k, delta, q))
+    extremal.discard(None)
+    # draw from the extremal tuples, the whole class summing to k - delta,
+    # and arbitrary tuples, so both answers of the classifier come up
+    candidates = sorted(extremal) + enumerate_deficiency(k, delta, q)
+    arbitrary = st.lists(st.integers(1, 60), min_size=k, max_size=k).map(
+        lambda t: tuple(sorted(t))
+    )
+    if candidates:
+        t = data.draw(st.one_of(st.sampled_from(candidates), arbitrary))
+    else:
+        t = data.draw(arbitrary)
+    case = classify_equality(t, delta, q)
+    assert (case.tag is not EqualityFamily.NONE) == (t in extremal)
+    assert case.witness == (t if t in extremal else None)

@@ -2,7 +2,9 @@
 
 import json
 import os
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +82,17 @@ def test_gap_domain_errors(capsys):
     assert "delta" in err
     code, _, err = run(capsys, "gap", "--delta", "1/2", "--q", "3")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("gap", "--delta", "40"), ("sylvester", "--p", "60", "--q", "1")]
+)
+def test_values_past_the_bit_ceiling_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("egyfrac: error:")
+    assert "bit ceiling" in err
 
 
 def test_lcm_bound(capsys):
@@ -261,3 +274,31 @@ def test_geometry_bad_coefficient(capsys):
     assert "bad coefficient token" in err
     code, _, err = run(capsys, "geometry", "--dim", "1", "--coeffs", "two")
     assert code == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """Each `$ egyfrac ...` line in README's code blocks, paired with the
+    lines printed under it, up to the next blank line or the block's end."""
+    examples = []
+    for block in README.read_text().split("```")[1::2]:
+        command, printed = None, []
+        for line in block.splitlines() + [""]:
+            if line.startswith("$ egyfrac "):
+                command, printed = line[len("$ egyfrac "):], []
+            elif command is not None and line:
+                printed.append(line + "\n")
+            elif command is not None:
+                examples.append((command, "".join(printed)))
+                command = None
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 7
+    for command, printed in examples:
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert (code, out) == (0, printed), command

@@ -100,6 +100,19 @@ def test_split_preserves_sum():
         split_expand((2, 3), 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.lists(st.integers(1, 10**6), min_size=1, max_size=8).map(sorted),
+    data=st.data(),
+)
+def test_split_expand_property(t, data):
+    i = data.draw(st.integers(0, len(t) - 1))
+    s = split_expand(t, i)
+    assert len(s) == len(t) + 1
+    assert tuple_sum(s) == tuple_sum(t)
+    assert as_tuple(s) == s
+
+
 def test_enumerate_frozen_examples():
     assert enumerate_exact(1, 3) == [(2, 3, 6), (2, 4, 4), (3, 3, 3)]
     assert enumerate_exact(Fraction(1, 2), 2) == [(3, 6), (4, 4)]

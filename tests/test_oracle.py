@@ -14,7 +14,7 @@ from egyfrac.bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from egyfrac.egyptian import tuple_sum
+from egyfrac.egyptian import iter_exact, tuple_lcm, tuple_sum, walk
 from egyfrac.oracle import (
     SweepConfig,
     lcm_square_check,
@@ -224,6 +224,112 @@ def test_max_lcm_empty_class():
     assert report.equality_witnesses == []
     assert report.details["class_size"] == 0
     assert report.details["max_lcm"] is None
+    assert report.stats.nodes == 1  # the walk yields only the root
+
+
+def test_max_lcm_budget_exhaustion():
+    # the class (2, 3, 6), (2, 4, 4), (3, 3, 3) takes 11 walker nodes, and
+    # every one of them counts against the budget, not just the members
+    report = max_lcm_search(3, 2, 1, budget=5)
+    assert not report.passed
+    assert report.budget_exceeded
+    assert report.counterexamples == []
+    assert report.stats.nodes == 6  # the node that tripped the limit counts
+
+
+def _walk_under_budget(k: int, delta: F, budget: int):
+    """(nodes, class members, budget_exceeded) of a budgeted pass over the
+    prefixes walk yields for the class summing to k - delta."""
+    target = k - delta
+    sides = [(slots, side) for _, slots, side, _, _ in
+             itertools.islice(walk(k, target, target), budget + 1)]
+    members = sum(1 for slots, side in sides[:budget] if not slots and not side)
+    return len(sides), members, len(sides) > budget
+
+
+@pytest.mark.parametrize(
+    "k,delta,q,budgets",
+    [(4, F(2), 1, range(1, 51)), (5, F(5, 2), 2, range(1, 51)), (6, F(11, 2), 2, [1000])],
+)
+def test_max_lcm_budget_counts_walker_nodes(k, delta, q, budgets):
+    # (6, 11/2, 2) is the frontier cell: 211 class members in its first
+    # 10^5 walker nodes, so a budget on members alone would not stop it
+    for budget in budgets:
+        report = max_lcm_search(k, delta, q, budget=budget)
+        assert (
+            report.stats.nodes,
+            report.details["class_size"],
+            report.budget_exceeded,
+        ) == _walk_under_budget(k, delta, budget), budget
+
+
+def _reference_lcm(k: int, delta: F, q: int, bound: F):
+    """The class loop over iter_exact that max_lcm_search ran before it
+    walked egyptian.walk itself, kept as the reference: returns
+    (class_size, max_lcm, maximizers, witnesses, counterexamples)."""
+    counterexamples, witnesses, maximizers = [], [], []
+    max_lcm = 0
+    count = 0
+    target = k - delta
+    if 0 <= target <= k:
+        for t in iter_exact(target, k):
+            count += 1
+            lcm_value = tuple_lcm(t)
+            if lcm_value > bound:
+                counterexamples.append(Counterexample("lcm above bound", t, delta, q))
+            if lcm_value % q == 0 and not lcm_square_check(t, q):
+                counterexamples.append(
+                    Counterexample("lcm square inequality violated", t, delta, q)
+                )
+            if lcm_value > max_lcm:
+                max_lcm, maximizers = lcm_value, [t]
+            elif lcm_value == max_lcm:
+                maximizers.append(t)
+            if lcm_value == bound:
+                tag = classify_equality(t, delta, q).tag.value
+                witnesses.append(EqualityWitness(t, delta, q, tag))
+    return count, (max_lcm if count else None), maximizers, witnesses, counterexamples
+
+
+def _assert_lcm_matches_reference(k, delta, q):
+    report = max_lcm_search(k, delta, q)
+    details = report.details
+    assert (
+        details["class_size"],
+        details["max_lcm"],
+        details["maximizers"],
+        report.equality_witnesses,
+        report.counterexamples,
+    ) == _reference_lcm(k, delta, q, report.parameters["lcm_bound"]), (k, delta, q)
+    target = k - delta
+    assert report.stats.nodes == sum(1 for _ in walk(k, target, target))
+
+
+LCM_CELLS = [
+    (k, delta, q)
+    for k in range(1, 6)
+    for delta in (F(n, 2) for n in range(0, 8))
+    for q in range(delta.denominator, 5, delta.denominator)
+]
+
+
+def test_max_lcm_walker_matches_reference():
+    assert len(LCM_CELLS) == 120
+    for cell in LCM_CELLS:
+        _assert_lcm_matches_reference(*cell)
+
+
+@pytest.mark.parametrize("k,delta,q", [(3, F(2), 1), (4, F(5, 2), 2), (5, F(3), 1)])
+def test_max_lcm_walker_matches_reference_on_counterexamples(k, delta, q, monkeypatch):
+    # a bound halved puts the extremal tuple's lcm above it, so both loops
+    # must report the same counterexamples
+    def halved(delta, q):
+        return lcm_bound(delta, q) / 2
+
+    monkeypatch.setattr(oracle, "lcm_bound", halved)
+    report = max_lcm_search(k, delta, q)
+    assert report.counterexamples
+    _assert_lcm_matches_reference(k, delta, q)
 
 
 def test_max_lcm_bound_never_beaten_small_grid():
@@ -282,7 +388,7 @@ def test_sweep_frozen_grid():
     assert report.counterexamples == []
     assert not report.budget_exceeded
     assert report.parameters["cells"] == 28
-    assert report.stats.nodes == 193
+    assert report.stats.nodes == 268
     assert len(report.equality_witnesses) == 40
     families = {w.family for w in report.equality_witnesses}
     assert "NONE" not in families

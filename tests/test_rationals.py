@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from egyfrac.rationals import (
     SRQ,
@@ -111,6 +113,15 @@ def test_srq_decompose_reconstructs():
             assert d.delta == delta
             assert d.q == q
             assert d.s >= 0 and 1 <= d.r <= d.q
+
+
+@given(q=st.integers(1, 10**6), data=st.data())
+def test_srq_decompose_round_trip_property(q, data):
+    delta = Fraction(data.draw(st.integers(-q, 10**6)), q)
+    d = srq_decompose(delta, q)
+    assert d.delta == delta
+    assert d.q == q
+    assert 1 <= d.r <= q
 
 
 def test_near_one_examples():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from egyfrac import sylvester
 from egyfrac.sylvester import (
-    DEFAULT_DEPTH_CAP,
     SylvesterTable,
     check_identities,
     sylvester_term,
@@ -66,19 +66,27 @@ def test_table_prefix_and_caching():
 
 
 def test_table_rejects_bad_indices():
-    table = SylvesterTable(2, depth_cap=5)
+    table = SylvesterTable(2)
     with pytest.raises(ValueError):
         table.u(0)
-    with pytest.raises(ValueError):
-        table.u(6)  # beyond the cap
     assert table.u(5) == sylvester_u(5, 2)
     with pytest.raises(ValueError):
         SylvesterTable(0)
     with pytest.raises(ValueError):
-        SylvesterTable(2, depth_cap=0)
-    with pytest.raises(ValueError):
         sylvester_u(1, 0)
-    assert DEFAULT_DEPTH_CAP >= 16
+
+
+def test_table_refuses_values_past_the_bit_ceiling(monkeypatch):
+    # u(6, 1) = 3263442 has 22 bits and u(7, 1) 44, so a 64-bit ceiling
+    # admits u(7, 1) and refuses the squaring that would build u(8, 1)
+    monkeypatch.setattr(sylvester, "MAX_BITS", 64)
+    table = SylvesterTable(1)
+    assert table.u(7) == sylvester_u(7, 1)
+    with pytest.raises(ValueError, match="64-bit ceiling"):
+        table.u(8)
+    with pytest.raises(ValueError, match="64-bit ceiling"):
+        table.u(10**6)
+    assert table.prefix(7) == [sylvester_u(p, 1) for p in range(1, 8)]
 
 
 def test_identities_hold():
