@@ -26,7 +26,7 @@ from .bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from .egyptian import as_tuple, tuple_lcm, tuple_sum, walk
+from .egyptian import as_tuple, tuple_lcm, walk
 from .rationals import canonical_q
 from .report import Counterexample, EqualityWitness, SearchStats, VerificationReport
 
@@ -113,18 +113,24 @@ def lcm_square_check(t, q: int) -> bool:
     preconditions every maximal prime power in L is contributed at least
     twice among q and the denominators, which is what makes the square fit.
 
+    Both preconditions are checked in integers, membership first. With L
+    the lcm of the m_i and S = sum of L // m_i, the reciprocal sum is S/L, so
+    the shortfall lies in (1/q)Z exactly when L divides q*S; the Fraction
+    shortfall is built only for the error message.
+
     >>> lcm_square_check((2, 3, 6), 1)
     True
     """
     t = as_tuple(t)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    shortfall = len(t) - tuple_sum(t)
-    if (q * shortfall).denominator != 1:
+    lcm_value = math.lcm(*t)
+    scaled_sum = sum(lcm_value // m for m in t)
+    if q * scaled_sum % lcm_value:
+        shortfall = len(t) - Fraction(scaled_sum, lcm_value)
         raise ValueError(
             f"tuple is not in a deficiency class mod q={q}: shortfall {shortfall}"
         )
-    lcm_value = math.lcm(*t)
     if lcm_value % q:
         raise ValueError(f"q={q} does not divide the tuple lcm {lcm_value}")
     return lcm_value * lcm_value <= q * math.prod(t)
@@ -135,8 +141,10 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     maximum lcm with all its attainers, and compare against lcm_bound.
 
     Every enumerated tuple whose lcm the modulus divides (all of them when q
-    is canonical) is also run through lcm_square_check. Tuples whose lcm
-    equals the bound become equality witnesses. Requires delta >= 0.
+    is canonical) is also run through lcm_square_check; walk has already
+    proved its class membership, and the check re-verifies it without
+    Fractions. Tuples whose lcm equals the bound become equality witnesses.
+    Requires delta >= 0.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egyfrac import oracle
 from egyfrac.bounds import (
@@ -14,7 +16,7 @@ from egyfrac.bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from egyfrac.egyptian import iter_exact, tuple_lcm, tuple_sum, walk
+from egyfrac.egyptian import as_tuple, iter_exact, tuple_lcm, tuple_sum, walk
 from egyfrac.oracle import (
     SweepConfig,
     lcm_square_check,
@@ -263,6 +265,24 @@ def test_max_lcm_budget_counts_walker_nodes(k, delta, q, budgets):
         ) == _walk_under_budget(k, delta, budget), budget
 
 
+def _reference_square_check(t, q: int) -> bool:
+    """lcm_square_check as it read before it checked class membership in
+    integers, kept as the reference: the shortfall is a Fraction from
+    tuple_sum, then q | L, then the square."""
+    t = as_tuple(t)
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(f"q must be a positive integer, got {q!r}")
+    shortfall = len(t) - tuple_sum(t)
+    if (q * shortfall).denominator != 1:
+        raise ValueError(
+            f"tuple is not in a deficiency class mod q={q}: shortfall {shortfall}"
+        )
+    lcm_value = math.lcm(*t)
+    if lcm_value % q:
+        raise ValueError(f"q={q} does not divide the tuple lcm {lcm_value}")
+    return lcm_value * lcm_value <= q * math.prod(t)
+
+
 def _reference_lcm(k: int, delta: F, q: int, bound: F):
     """The class loop over iter_exact that max_lcm_search ran before it
     walked egyptian.walk itself, kept as the reference: returns
@@ -277,7 +297,7 @@ def _reference_lcm(k: int, delta: F, q: int, bound: F):
             lcm_value = tuple_lcm(t)
             if lcm_value > bound:
                 counterexamples.append(Counterexample("lcm above bound", t, delta, q))
-            if lcm_value % q == 0 and not lcm_square_check(t, q):
+            if lcm_value % q == 0 and not _reference_square_check(t, q):
                 counterexamples.append(
                     Counterexample("lcm square inequality violated", t, delta, q)
                 )
@@ -352,8 +372,11 @@ def test_lcm_square_check():
     assert lcm_square_check((2, 3, 7), 42)  # 42^2 <= 42 * 42
     assert lcm_square_check((3,), 3)
     assert lcm_square_check((), 1)  # empty tuple: 1 <= 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shortfall 2/3"):
         lcm_square_check((3,), 2)  # shortfall 2/3 is not a multiple of 1/2
+    # (2,) against q=3 fails both preconditions: membership is checked first
+    with pytest.raises(ValueError, match="not in a deficiency class mod q=3"):
+        lcm_square_check((2,), 3)
     with pytest.raises(ValueError):
         lcm_square_check((2, 3), 0)
     # outside the q | lcm domain the inequality is not even claimed:
@@ -362,6 +385,24 @@ def test_lcm_square_check():
         lcm_square_check((2,), 4)
     with pytest.raises(ValueError):
         lcm_square_check((), 5)
+
+
+def _square_check_outcome(check, t, q):
+    try:
+        return check(t, q)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.lists(st.integers(1, 60), max_size=4).map(sorted),
+    q=st.integers(1, 12),
+)
+def test_lcm_square_check_matches_reference(t, q):
+    assert _square_check_outcome(lcm_square_check, t, q) == _square_check_outcome(
+        _reference_square_check, t, q
+    )
 
 
 def test_lcm_square_check_always_in_domain_at_canonical_q():
