@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: greedy, split, enumerate, gap, lcm-bound, extremal, sylvester,
-oracle, geometry. Every command honors --format json|csv|text (csv only for
-commands whose output is a flat list of tuples). JSON output is an envelope
+oracle, geometry. Every command honors --format text|json; greedy, split,
+enumerate and extremal, whose output is a list of tuples, also take csv, and
+any other format is a usage error (exit 1). JSON output is an envelope
 {command, inputs, result, version}; rationals travel as 'p/q' strings and
 mathematical integers as decimal strings, since the values outgrow 64 bits.
 
@@ -107,28 +108,37 @@ def _coefficients(text: str) -> tuple[StandardCoefficient, ...]:
     return tuple(out)
 
 
-def _emit(args, result: dict, text_lines: list[str], csv_rows=None) -> None:
+def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
     """Print one command's output in the chosen format.
 
-    result is the JSON payload; text_lines the text rendering; csv_rows,
-    when supported, a list of integer tuples emitted one per line.
+    inputs and result fill the JSON envelope. rows, a list of integer
+    tuples, print comma-joined as csv and space-joined as text, unless the
+    command passes its own text lines.
     """
     if args.format == "json":
         envelope = {
             "command": args.command,
-            "inputs": args.inputs,
+            "inputs": inputs,
             "result": result,
             "version": __version__,
         }
         print(json.dumps(envelope, indent=2))
-    elif args.format == "csv":
-        if csv_rows is None:
-            raise ValueError(f"csv format is not supported for {args.command!r}")
-        for row in csv_rows:
-            print(",".join(str(v) for v in row))
-    else:
-        for line in text_lines:
-            print(line)
+        return
+    if args.format == "csv" or lines is None:
+        sep = "," if args.format == "csv" else " "
+        lines = [sep.join(str(v) for v in row) for row in rows]
+    for line in lines:
+        print(line)
+
+
+def _scalars(result: dict, *keys: str) -> list[str]:
+    """'key = value' text lines for the keys result holds a value for."""
+    return [f"{key} = {result[key]}" for key in keys if result.get(key) is not None]
+
+
+def _q(q: int | None, x: Fraction) -> int:
+    """The given --q, or by default the canonical q of x."""
+    return q if q is not None else canonical_q(x)
 
 
 def _tuple_strs(t) -> list[str]:
@@ -137,122 +147,87 @@ def _tuple_strs(t) -> list[str]:
 
 def cmd_greedy(args) -> int:
     t = greedy(args.x)
-    args.inputs = {"x": rational_str(args.x)}
-    _emit(
-        args,
-        {
-            "denominators": _tuple_strs(t),
-            "terms": len(t),
-            "sum": rational_str(tuple_sum(t)),
-        },
-        [" ".join(_tuple_strs(t))],
-        csv_rows=[t],
-    )
+    result = {"denominators": _tuple_strs(t), "terms": len(t),
+              "sum": rational_str(tuple_sum(t))}
+    _emit(args, {"x": rational_str(args.x)}, result, rows=[t])
     return 0
 
 
 def cmd_split(args) -> int:
+    n = len(args.denominators)
+    if not 1 <= args.at <= n:
+        raise ValueError(f"--at {args.at} is outside 1..{n}, the positions of {n} entries")
     t = split_expand(args.denominators, args.at - 1)  # --at is 1-based
-    args.inputs = {"denominators": _tuple_strs(args.denominators), "at": args.at}
-    _emit(
-        args,
-        {"denominators": _tuple_strs(t), "sum": rational_str(tuple_sum(t))},
-        [" ".join(_tuple_strs(t))],
-        csv_rows=[t],
-    )
+    inputs = {"denominators": _tuple_strs(args.denominators), "at": args.at}
+    result = {"denominators": _tuple_strs(t), "sum": rational_str(tuple_sum(t))}
+    _emit(args, inputs, result, rows=[t])
     return 0
 
 
 def cmd_enumerate(args) -> int:
     tuples = enumerate_exact(args.sum, args.terms)
-    args.inputs = {"sum": rational_str(args.sum), "terms": args.terms}
-    _emit(
-        args,
-        {"tuples": [_tuple_strs(t) for t in tuples], "count": len(tuples)},
-        [" ".join(_tuple_strs(t)) for t in tuples],
-        csv_rows=tuples,
-    )
+    inputs = {"sum": rational_str(args.sum), "terms": args.terms}
+    result = {"tuples": [_tuple_strs(t) for t in tuples], "count": len(tuples)}
+    _emit(args, inputs, result, rows=tuples)
     return 0
 
 
 def cmd_gap(args) -> int:
-    q = args.q if args.q is not None else canonical_q(args.delta)
-    g = gap_amount(args.delta, q)
-    args.inputs = {"delta": rational_str(args.delta), "q": q, "k": args.k}
-    result = {"delta": rational_str(args.delta), "q": q, "gap": rational_str(g)}
-    lines = [f"gap = {rational_str(g)}"]
+    q = _q(args.q, args.delta)
+    inputs = {"delta": rational_str(args.delta), "q": q, "k": args.k}
+    result = {
+        "delta": rational_str(args.delta),
+        "q": q,
+        "gap": rational_str(gap_amount(args.delta, q)),
+    }
     if args.k is not None:
-        bound = sharp_sum_bound(args.k, args.delta, q)
-        result["sharp_sum_bound"] = rational_str(bound)
-        lines.append(f"sharp_sum_bound = {rational_str(bound)}")
-    _emit(args, result, lines)
+        result["sharp_sum_bound"] = rational_str(sharp_sum_bound(args.k, args.delta, q))
+    _emit(args, inputs, result, _scalars(result, "gap", "sharp_sum_bound"))
     return 0
 
 
 def cmd_lcm_bound(args) -> int:
-    q = args.q if args.q is not None else canonical_q(args.delta)
-    bound = lcm_bound(args.delta, q)
-    args.inputs = {"delta": rational_str(args.delta), "q": q}
-    _emit(
-        args,
-        {"delta": rational_str(args.delta), "q": q, "lcm_bound": rational_str(bound)},
-        [f"lcm_bound = {rational_str(bound)}"],
-    )
+    q = _q(args.q, args.delta)
+    inputs = {"delta": rational_str(args.delta), "q": q}
+    result = {**inputs, "lcm_bound": rational_str(lcm_bound(args.delta, q))}
+    _emit(args, inputs, result, _scalars(result, "lcm_bound"))
     return 0
 
 
 def cmd_extremal(args) -> int:
-    q = args.q if args.q is not None else canonical_q(args.delta)
+    q = _q(args.q, args.delta)
     if args.kind == "gap":
         t = extremal_gap_tuple(args.k, args.delta, q)
         bound = sharp_sum_bound(args.k, args.delta, q)
     else:
         t = extremal_lcm_tuple(args.k, args.delta, q)
         bound = lcm_bound(args.delta, q)
-    args.inputs = {
-        "kind": args.kind,
-        "k": args.k,
-        "delta": rational_str(args.delta),
-        "q": q,
-    }
-    result = {"kind": args.kind, "bound": rational_str(bound)}
+    inputs = {"kind": args.kind, "k": args.k, "delta": rational_str(args.delta), "q": q}
+    result = {"kind": args.kind, "bound": rational_str(bound), "denominators": None}
     if t is None:
-        result["denominators"] = None
-        lines = ["absent"]
-    else:
-        result["denominators"] = _tuple_strs(t)
-        result["sum"] = rational_str(tuple_sum(t))
-        result["lcm"] = str(tuple_lcm(t))
-        result["family"] = classify_equality(t, args.delta, q).tag.value
-        lines = [" ".join(_tuple_strs(t))]
-    _emit(args, result, lines, csv_rows=[t] if t is not None else [])
+        _emit(args, inputs, result, ["absent"], rows=[])
+        return 0
+    result["denominators"] = _tuple_strs(t)
+    result["sum"] = rational_str(tuple_sum(t))
+    result["lcm"] = str(tuple_lcm(t))
+    result["family"] = classify_equality(t, args.delta, q).tag.value
+    _emit(args, inputs, result, rows=[t])
     return 0
 
 
 def cmd_sylvester(args) -> int:
-    args.inputs = {"p": args.p, "q": args.q, "table": args.table}
+    inputs = {"p": args.p, "q": args.q, "table": args.table}
     if args.table:
         rows = [
             (p, sylvester_u(p, args.q), sylvester_term(p, args.q))
             for p in range(1, args.p + 1)
         ]
-        _emit(
-            args,
-            {
-                "table": [
-                    {"p": p, "u": str(u_val), "t": str(t_val)}
-                    for p, u_val, t_val in rows
-                ]
-            },
-            [f"{p} {u_val} {t_val}" for p, u_val, t_val in rows],
-        )
+        table = [{"p": p, "u": str(u_val), "t": str(t_val)} for p, u_val, t_val in rows]
+        _emit(args, inputs, {"table": table}, rows=rows)
     else:
         u_val = sylvester_u(args.p, args.q)
-        _emit(
-            args,
-            {"u": str(u_val), "t": str(1 + u_val)},
-            [f"u = {u_val}", f"t = {1 + u_val}"],
-        )
+        result = {"u": str(u_val), "t": str(1 + u_val)}
+        _emit(args, inputs, result, _scalars(result, "u", "t"))
     return 0
 
 
@@ -260,14 +235,9 @@ def cmd_oracle(args) -> int:
     budget = args.budget
     if budget is None:
         budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
-    config = SweepConfig(
-        k_max=args.k_max,
-        deltas=args.delta_list,
-        q_mode=args.q_mode,
-        budget=budget,
-    )
-    report = sweep(config)
-    args.inputs = {
+    report = sweep(SweepConfig(k_max=args.k_max, deltas=args.delta_list,
+                               q_mode=args.q_mode, budget=budget))
+    inputs = {
         "k_max": args.k_max,
         "delta_list": [rational_str(d) for d in args.delta_list],
         "q_mode": args.q_mode,
@@ -285,7 +255,7 @@ def cmd_oracle(args) -> int:
     for c in report.counterexamples:
         lines.append(f"counterexample: {c.claim} values={list(c.values)} "
                      f"delta={rational_str(c.delta)} q={c.q}")
-    _emit(args, report_to_dict(report), lines)
+    _emit(args, inputs, report_to_dict(report), lines)
     return 0 if report.passed else 2
 
 
@@ -293,7 +263,7 @@ def cmd_geometry(args) -> int:
     ls = LogStructure(args.dim, args.coeffs)
     v = volume(ls)
     t = args.t if args.t is not None else (v if v >= 0 else None)
-    args.inputs = {
+    inputs = {
         "dim": args.dim,
         "coeffs": [("one" if c.is_one else f"m:{c.m}") for c in args.coeffs],
         "t": rational_str(args.t) if args.t is not None else None,
@@ -304,30 +274,24 @@ def cmd_geometry(args) -> int:
         "deficiency": rational_str(deficiency(ls)),
         "finite_denominators": _tuple_strs(ls.finite_denominators),
         "ones": ls.ones_count,
+        "bpf_index": str(bpf_index(ls)) if v >= 0 else None,
     }
-    lines = [f"volume = {rational_str(v)}"]
-    if v >= 0:
-        r = bpf_index(ls)
-        result["bpf_index"] = str(r)
-        lines.append(f"bpf_index = {r}")
-    else:
-        result["bpf_index"] = None
-        lines.append("bpf_index = undefined (negative volume)")
     if t is not None:
-        q = args.q if args.q is not None else canonical_q(t)
+        q = _q(args.q, t)
         result["t"] = rational_str(t)
         result["q"] = q
         result["gap_bound"] = rational_str(gap_bound(args.dim, t, q))
         result["index_bound"] = rational_str(index_bound(args.dim, t, q))
-        lines.append(f"gap_bound = {result['gap_bound']}")
-        lines.append(f"index_bound = {result['index_bound']}")
         try:
             refined = refined_index_bound(args.dim, ls.ones_count, t, q)
             result["refined_index_bound"] = rational_str(refined)
-            lines.append(f"refined_index_bound = {result['refined_index_bound']}")
         except ValueError:
             result["refined_index_bound"] = None
-    _emit(args, result, lines)
+    lines = _scalars(result, "volume", "bpf_index", "gap_bound", "index_bound",
+                     "refined_index_bound")
+    if v < 0:
+        lines.insert(1, "bpf_index = undefined (negative volume)")
+    _emit(args, inputs, result, lines)
     return 0
 
 
@@ -335,24 +299,26 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="egyfrac", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    tuples = ("text", "json", "csv")  # csv is offered where the output is tuples
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, formats=("text", "json")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
+            "--format", choices=formats, default="text",
             help="output format (default: text)",
         )
         p.set_defaults(func=func, command=name)
         return p
 
-    p = add("greedy", cmd_greedy, "greedy unit-fraction representation of x")
+    p = add("greedy", cmd_greedy, "greedy unit-fraction representation of x", tuples)
     p.add_argument("x", type=_rational, help="nonnegative rational, e.g. 5/6")
 
-    p = add("split", cmd_split, "split one denominator via 1/m = 1/(m+1) + 1/(m(m+1))")
+    p = add("split", cmd_split, "split one denominator via 1/m = 1/(m+1) + 1/(m(m+1))",
+            tuples)
     p.add_argument("denominators", type=_denominators, help="comma-separated tuple, e.g. 2,3")
     p.add_argument("--at", type=int, required=True, help="1-based position to split")
 
-    p = add("enumerate", cmd_enumerate, "all k-term representations of a rational")
+    p = add("enumerate", cmd_enumerate, "all k-term representations of a rational", tuples)
     p.add_argument("--sum", type=_rational, required=True, dest="sum")
     p.add_argument("--terms", type=int, required=True)
 
@@ -365,7 +331,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--q", type=int, default=None)
 
-    p = add("extremal", cmd_extremal, "tuple attaining a sharp bound, if any")
+    p = add("extremal", cmd_extremal, "tuple attaining a sharp bound, if any", tuples)
     p.add_argument("--kind", choices=("gap", "lcm"), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=_rational, required=True)

@@ -177,6 +177,54 @@ def test_csv_unsupported_command(capsys):
     assert "csv" in err
 
 
+def test_csv_refused_before_the_command_runs(capsys, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("sweep ran although csv is refused")
+
+    monkeypatch.setattr("egyfrac.cli.sweep", no_sweep)
+    code, out, err = run(capsys, "oracle", "--k-max", "6", "--delta-list",
+                         "0,1/2,1,3/2,2,5/2,3,7/2,4", "--q-mode", "all-upto:4",
+                         "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert "argument --format: invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize("at", ["0", "3"])
+def test_split_position_outside_the_tuple(capsys, at):
+    code, out, err = run(capsys, "split", "2,3", "--at", at)
+    assert code == 1
+    assert out == ""
+    assert err == f"egyfrac: error: --at {at} is outside 1..2, the positions of 2 entries\n"
+
+
+CSV_COMMANDS = {"greedy", "split", "enumerate", "extremal"}
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["greedy", "9/20"], {"x": "9/20"}),
+    (["split", "2,3", "--at", "2"], {"denominators": ["2", "3"], "at": 2}),
+    (["enumerate", "--sum", "1", "--terms", "3"], {"sum": "1", "terms": 3}),
+    (["gap", "--delta", "1/2"], {"delta": "1/2", "q": 2, "k": None}),
+    (["lcm-bound", "--delta", "5/2", "--q", "4"], {"delta": "5/2", "q": 4}),
+    (["extremal", "--kind", "lcm", "--k", "4", "--delta", "3/2"],
+     {"kind": "lcm", "k": 4, "delta": "3/2", "q": 2}),
+    (["sylvester", "--p", "3", "--q", "2"], {"p": 3, "q": 2, "table": False}),
+    (["oracle", "--k-max", "2", "--delta-list", "0,1/2"],
+     {"k_max": 2, "delta_list": ["0", "1/2"], "q_mode": "canonical", "budget": 100000000}),
+    (["geometry", "--dim", "1", "--coeffs", "m:2,m:3,m:7,one"],
+     {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": None, "q": None}),
+])
+def test_json_inputs_and_csv_offer(capsys, monkeypatch, argv, inputs):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["inputs"].items()) == list(inputs.items())  # order too
+    code, _, err = run(capsys, *argv, "--format", "csv")
+    assert (code == 0) == (argv[0] in CSV_COMMANDS)
+    assert ("invalid choice: 'csv'" in err) == (argv[0] not in CSV_COMMANDS)
+
+
 def test_oracle_pass_json(capsys):
     code, out, _ = run(capsys, "oracle", "--k-max", "3", "--delta-list",
                        "0,1/2,2", "--format", "json")
