@@ -7,6 +7,7 @@ integers with sum of 1/m_i equal to x; denominators may repeat and may be 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -86,6 +87,49 @@ def position_range(
     return range(lo, hi + 1)
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division, as {prime: exponent}."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
+    """Every pair prev <= a <= b with 1/a + 1/b == p/q, in increasing a.
+
+    p/q > 0 must be reduced. The equation is (pa - q)(pb - q) = q^2, so a
+    pair is a divisor x = pa - q <= q of q^2 with x = -q (mod p); then
+    q^2/x = -q (mod p) as well, since p is coprime to q, and b is whole.
+
+    >>> two_term_pairs(1, 1, 2)
+    [(3, 6), (4, 4)]
+    """
+    divisors = [1]  # the divisors of q^2 up to q, kept sorted
+    for prime, e in _prime_factors(q).items():
+        grown = divisors[:]
+        power = 1
+        for _ in range(2 * e):
+            power *= prime
+            end = bisect.bisect_right(divisors, q // power)
+            if not end:
+                break
+            grown += [d * power for d in divisors[:end]]
+        divisors = sorted(grown)
+    square = q * q
+    return [
+        ((x + q) // p, (square // x + q) // p)
+        for x in divisors[bisect.bisect_left(divisors, prev * p - q):]
+        if (x + q) % p == 0
+    ]
+
+
 def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     """Depth-first walk over nondecreasing prefixes of k-term tuples, in
     lexicographic order, with the prefix sum kept as a reduced integer pair.
@@ -96,9 +140,19 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     (0) or above (> 0) low. Only a prefix below low with slots left gets
     children, the m in position_range with room cap - sum and need
     low - sum; cap >= low. The yielded list is reused: copy it to keep it.
+
+    An exact target (cap == low) closes every prefix below it with two
+    slots left by two_term_pairs: its children and grandchildren are not
+    visited, and each completing pair is yielded as a leaf (slots 0, side
+    0). So an exact walk yields its prefixes with two or more slots plus
+    the closed pairs (for k = 1, the root and its one leaf, if any); every
+    k-term tuple summing to low is still yielded once, in the same order.
     """
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
+    # an exact target closes its prefixes with two slots left; visit
+    # compares only nonzero slots, so 0 means "never"
+    close_at = 2 if (a, b) == (c, d) else 0
     prefix: list[int] = []
 
     def visit(prev: int, num: int, den: int):
@@ -106,6 +160,15 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
         side = num * b - a * den
         yield prefix, slots, side, num, den
         if side < 0 and slots:
+            if slots == close_at:
+                # every prime of the remainder's denominator divides b or a
+                # prefix entry, which keeps two_term_pairs' trial division short
+                g = math.gcd(side, b * den)
+                for pair in two_term_pairs(prev, -side // g, b * den // g):
+                    prefix.extend(pair)
+                    yield prefix, 0, 0, a, b
+                    del prefix[-2:]
+                return
             room = (c * den - num * d, d * den)
             for m in position_range(prev, slots, room, (-side, b * den)):
                 prefix.append(m)
@@ -118,7 +181,11 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
 
 
 def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
-    """Yield every k-term representation of x, in lexicographic order."""
+    """Yield every k-term representation of x, in lexicographic order.
+
+    The target is exact, so walk closes the last two terms of each prefix
+    by divisors (two_term_pairs) instead of looping over them.
+    """
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"target sum must be nonnegative, got {x}")

@@ -12,8 +12,11 @@ and in both, equality of the aggregate forces entrywise equality.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 PositiveSequence = tuple[Fraction, ...]
@@ -37,27 +40,37 @@ def _paired(x, y) -> tuple[PositiveSequence, PositiveSequence]:
     return xs, ys
 
 
+def _prefix_products_dominate(xs: PositiveSequence, ys: PositiveSequence) -> bool:
+    products = zip(accumulate(xs, operator.mul), accumulate(ys, operator.mul))
+    return all(px >= py for px, py in products)
+
+
+def _suffix_sums_dominate(xs: PositiveSequence, ys: PositiveSequence) -> bool:
+    sums = zip(accumulate(reversed(xs)), accumulate(reversed(ys)))
+    return all(sx >= sy for sx, sy in sums)
+
+
 def prefix_product_dominates(x, y) -> bool:
     """True iff prod(x_1..x_j) >= prod(y_1..y_j) for every prefix length j."""
-    xs, ys = _paired(x, y)
-    px = py = Fraction(1)
-    for a, b in zip(xs, ys):
-        px *= a
-        py *= b
-        if px < py:
-            return False
-    return True
+    return _prefix_products_dominate(*_paired(x, y))
 
 
 def suffix_sum_dominates(x, y) -> bool:
     """True iff sum(x_j..x_n) >= sum(y_j..y_n) for every suffix start j."""
+    return _suffix_sums_dominate(*_paired(x, y))
+
+
+def _conclusion(x, y, dominate, hypothesis: str, aggregate, name: str) -> bool:
+    """Validate x and y once, require dominate(xs, ys), then compare the
+    aggregates: True when strict, False when equal (and then xs == ys)."""
     xs, ys = _paired(x, y)
-    sx = sy = Fraction(0)
-    for a, b in zip(reversed(xs), reversed(ys)):
-        sx += a
-        sy += b
-        if sx < sy:
-            return False
+    if not dominate(xs, ys):
+        raise ValueError(f"hypothesis failed: x must {hypothesis} y")
+    ax, ay = aggregate(xs), aggregate(ys)
+    assert ax >= ay, f"{name} dominance violated for {xs} vs {ys}"
+    if ax == ay:
+        assert xs == ys, f"{name} equality without entrywise equality: {xs} vs {ys}"
+        return False
     return True
 
 
@@ -68,15 +81,9 @@ def sum_dominance_conclusion(x, y) -> bool:
     Returns True for strict sum dominance, False for the equality case.
     Raises if the hypothesis fails.
     """
-    xs, ys = _paired(x, y)
-    if not prefix_product_dominates(xs, ys):
-        raise ValueError("hypothesis failed: x must prefix-product dominate y")
-    sx, sy = sum(xs), sum(ys)
-    assert sx >= sy, f"sum dominance violated for {xs} vs {ys}"
-    if sx == sy:
-        assert xs == ys, f"sum equality without entrywise equality: {xs} vs {ys}"
-        return False
-    return True
+    return _conclusion(
+        x, y, _prefix_products_dominate, "prefix-product dominate", sum, "sum"
+    )
 
 
 def product_dominance_conclusion(x, y) -> bool:
@@ -86,19 +93,9 @@ def product_dominance_conclusion(x, y) -> bool:
     Returns True for strict product dominance, False for the equality case.
     Raises if the hypothesis fails.
     """
-    xs, ys = _paired(x, y)
-    if not suffix_sum_dominates(xs, ys):
-        raise ValueError("hypothesis failed: x must suffix-sum dominate y")
-    px = py = Fraction(1)
-    for a in xs:
-        px *= a
-    for b in ys:
-        py *= b
-    assert px >= py, f"product dominance violated for {xs} vs {ys}"
-    if px == py:
-        assert xs == ys, f"product equality without entrywise equality: {xs} vs {ys}"
-        return False
-    return True
+    return _conclusion(
+        x, y, _suffix_sums_dominate, "suffix-sum dominate", math.prod, "product"
+    )
 
 
 # ---------------------------------------------------------------------------

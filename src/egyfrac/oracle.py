@@ -10,6 +10,10 @@ extremal constructors.
 Both searches iterate egyptian.walk, in lexicographic order, and count
 every prefix it yields as one node against their budget; running out of
 budget is reported as its own failure mode, never as a counterexample.
+The lcm class has an exact target, so walk closes each prefix with two
+slots left by divisors: there a node is a prefix with two or more slots
+left or a closed pair. The window's open interval has no divisor form, so
+its walk visits, and counts, every prefix down to the last slot.
 """
 
 from __future__ import annotations
@@ -144,7 +148,9 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     is canonical) is also run through lcm_square_check; walk has already
     proved its class membership, and the check re-verifies it without
     Fractions. Tuples whose lcm equals the bound become equality witnesses.
-    Requires delta >= 0.
+    The budget counts walk's yields: the prefixes with two or more slots
+    left, and each class member that closes one of them (for k = 1, the
+    root and its member). Requires delta >= 0.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egyfrac.egyptian import (
@@ -18,6 +18,7 @@ from egyfrac.egyptian import (
     split_expand,
     tuple_lcm,
     tuple_sum,
+    two_term_pairs,
 )
 from egyfrac.rationals import floor_frac
 
@@ -228,6 +229,28 @@ def _brute_exact(x: Fraction, k: int) -> list[tuple[int, ...]]:
 def test_iter_exact_matches_brute_force(k, q, data):
     x = Fraction(data.draw(st.integers(0, k * q + 1)), q)
     assert list(iter_exact(x, k)) == _brute_exact(x, k)
+
+
+def _brute_two_term(prev: int, x: Fraction) -> list[tuple[int, int]]:
+    """Scan every a from prev up to 2/x and keep those with 1/a short of x
+    by a unit fraction 1/b, b >= a."""
+    out = []
+    for a in range(prev, 2 * x.denominator // x.numerator + 1):
+        rest = x - Fraction(1, a)
+        if rest > 0 and rest.numerator == 1 and rest.denominator >= a:
+            out.append((a, rest.denominator))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 40), q=st.integers(1, 5040), prev=st.integers(1, 100))
+@example(p=1, q=2520, prev=1)  # 2520^2 has 158 divisors up to 2520, each a pair
+def test_two_term_pairs_match_brute_force(p, q, prev):
+    x = Fraction(p, q)
+    pairs = two_term_pairs(prev, x.numerator, x.denominator)
+    assert pairs == _brute_two_term(prev, x)
+    for a, b in pairs:
+        assert Fraction(1, a) + Fraction(1, b) == x
 
 
 def test_enumerate_deficiency():

@@ -16,7 +16,14 @@ from egyfrac.bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from egyfrac.egyptian import as_tuple, iter_exact, tuple_lcm, tuple_sum, walk
+from egyfrac.egyptian import (
+    as_tuple,
+    enumerate_exact,
+    position_range,
+    tuple_lcm,
+    tuple_sum,
+    walk,
+)
 from egyfrac.oracle import (
     SweepConfig,
     lcm_square_check,
@@ -230,8 +237,9 @@ def test_max_lcm_empty_class():
 
 
 def test_max_lcm_budget_exhaustion():
-    # the class (2, 3, 6), (2, 4, 4), (3, 3, 3) takes 11 walker nodes, and
-    # every one of them counts against the budget, not just the members
+    # the class (2, 3, 6), (2, 4, 4), (3, 3, 3) takes 7 walker nodes (the
+    # root, (1), (2), (3) and the three closed pairs), and every one of them
+    # counts against the budget, not just the members
     report = max_lcm_search(3, 2, 1, budget=5)
     assert not report.passed
     assert report.budget_exceeded
@@ -254,8 +262,8 @@ def _walk_under_budget(k: int, delta: F, budget: int):
     [(4, F(2), 1, range(1, 51)), (5, F(5, 2), 2, range(1, 51)), (6, F(11, 2), 2, [1000])],
 )
 def test_max_lcm_budget_counts_walker_nodes(k, delta, q, budgets):
-    # (6, 11/2, 2) is the frontier cell: 211 class members in its first
-    # 10^5 walker nodes, so a budget on members alone would not stop it
+    # in (6, 11/2, 2), closed pairs are 989 of the first 1000 walker nodes:
+    # the budget counts them as well as the prefixes they close
     for budget in budgets:
         report = max_lcm_search(k, delta, q, budget=budget)
         assert (
@@ -283,16 +291,50 @@ def _reference_square_check(t, q: int) -> bool:
     return lcm_value * lcm_value <= q * math.prod(t)
 
 
+def _reference_walk(k: int, low: F, cap: F):
+    """egyptian.walk as it read before exact targets closed their last two
+    slots by divisors, kept as the reference: every prefix down to the last
+    slot is visited, and each member is a leaf of the last slot's loop."""
+    a, b = low.numerator, low.denominator
+    c, d = cap.numerator, cap.denominator
+    prefix: list[int] = []
+
+    def visit(prev: int, num: int, den: int):
+        slots = k - len(prefix)
+        side = num * b - a * den
+        yield prefix, slots, side, num, den
+        if side < 0 and slots:
+            room = (c * den - num * d, d * den)
+            for m in position_range(prev, slots, room, (-side, b * den)):
+                prefix.append(m)
+                child_num, child_den = num * m + den, den * m
+                g = math.gcd(child_num, child_den)
+                yield from visit(m, child_num // g, child_den // g)
+                prefix.pop()
+
+    return visit(1, 0, 1)
+
+
+def _reference_class(k: int, target: F) -> list[tuple[int, ...]]:
+    """The k-tuples summing to target, in the reference walk's order."""
+    return [
+        tuple(prefix)
+        for prefix, slots, side, _, _ in _reference_walk(k, target, target)
+        if not slots and not side
+    ]
+
+
 def _reference_lcm(k: int, delta: F, q: int, bound: F):
-    """The class loop over iter_exact that max_lcm_search ran before it
-    walked egyptian.walk itself, kept as the reference: returns
-    (class_size, max_lcm, maximizers, witnesses, counterexamples)."""
+    """The class loop that max_lcm_search ran over iter_exact before it
+    walked egyptian.walk itself, kept as the reference and fed by the
+    reference walk: returns (class_size, max_lcm, maximizers, witnesses,
+    counterexamples)."""
     counterexamples, witnesses, maximizers = [], [], []
     max_lcm = 0
     count = 0
     target = k - delta
     if 0 <= target <= k:
-        for t in iter_exact(target, k):
+        for t in _reference_class(k, target):
             count += 1
             lcm_value = tuple_lcm(t)
             if lcm_value > bound:
@@ -323,6 +365,8 @@ def _assert_lcm_matches_reference(k, delta, q):
     ) == _reference_lcm(k, delta, q, report.parameters["lcm_bound"]), (k, delta, q)
     target = k - delta
     assert report.stats.nodes == sum(1 for _ in walk(k, target, target))
+    if target >= 0:
+        assert enumerate_exact(target, k) == _reference_class(k, target), (k, delta)
 
 
 LCM_CELLS = [
@@ -332,11 +376,39 @@ LCM_CELLS = [
     for q in range(delta.denominator, 5, delta.denominator)
 ]
 
+# the lcm-class cells of the benchmark: k <= 7 x delta 0..5 step 1/2 x q a
+# multiple of the canonical q up to 2; (6, 11/2) and (7, 11/2) lie past
+# them, where the reference walk does not finish
+CLASS_CELLS = [
+    (k, delta, q)
+    for k in range(1, 8)
+    for delta in (F(n, 2) for n in range(0, 11))
+    for q in range(delta.denominator, 3, delta.denominator)
+]
+
 
 def test_max_lcm_walker_matches_reference():
     assert len(LCM_CELLS) == 120
-    for cell in LCM_CELLS:
+    assert len(CLASS_CELLS) == 119
+    for cell in LCM_CELLS + CLASS_CELLS:
         _assert_lcm_matches_reference(*cell)
+
+
+def test_max_lcm_frontier_cell_finishes():
+    # the reference walk meets 341 of the 270,332 members in its first
+    # 2x10^6 nodes, 1,999,650 of which have one slot left; closing every
+    # prefix with two slots left by divisors finishes in 332,904 nodes
+    report = max_lcm_search(6, F(11, 2), 2)
+    assert report.passed
+    assert not report.budget_exceeded
+    assert report.counterexamples == []
+    assert report.details["class_size"] == 270_332
+    assert report.details["max_lcm"] == 10_650_056_950_806 == lcm_bound(F(11, 2), 2)
+    assert [w.denominators for w in report.equality_witnesses] == [
+        (3, 7, 43, 1807, 3263443, 10650056950806)
+    ]
+    assert report.equality_witnesses[0].family == "SYLVESTER_LCM"
+    assert report.stats.nodes == 332_904
 
 
 @pytest.mark.parametrize("k,delta,q", [(3, F(2), 1), (4, F(5, 2), 2), (5, F(3), 1)])
@@ -429,7 +501,7 @@ def test_sweep_frozen_grid():
     assert report.counterexamples == []
     assert not report.budget_exceeded
     assert report.parameters["cells"] == 28
-    assert report.stats.nodes == 268
+    assert report.stats.nodes == 236
     assert len(report.equality_witnesses) == 40
     families = {w.family for w in report.equality_witnesses}
     assert "NONE" not in families
