@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .egyptian import EgyptianTuple, as_tuple, tuple_lcm, tuple_sum
-from .rationals import srq_decompose
+from .rationals import SRQ, srq_decompose
 from .sylvester import sylvester_u
 
 
@@ -75,25 +75,49 @@ def lcm_bound(delta, q: int) -> Fraction:
     return Fraction(sylvester_u(d.s, q), d.r)
 
 
+def _companions(d: SRQ, count: int) -> tuple[int, ...] | None:
+    """(1 + u(i, q))/r for i = 1..count, or None when r fails to divide one."""
+    out = []
+    for i in range(1, count + 1):
+        num = 1 + sylvester_u(i, d.q)
+        if num % d.r:
+            return None
+        out.append(num // d.r)
+    return tuple(out)
+
+
+def _gap_pattern(k: int, d: SRQ) -> EgyptianTuple | None:
+    """extremal_gap_tuple's shape for d = srq_decompose(delta, q), unchecked."""
+    if k < d.s:
+        return None
+    tail = _companions(d, d.s)
+    return None if tail is None else (1,) * (k - d.s) + tail
+
+
+def _lcm_pattern(k: int, d: SRQ) -> EgyptianTuple | None:
+    """extremal_lcm_tuple's shape for d = srq_decompose(delta, q), unchecked."""
+    if k < d.s:
+        return None
+    head = _companions(d, d.s - 1)
+    if head is None:
+        return None
+    closing = sylvester_u(d.s, d.q)
+    if closing % d.r:
+        return None
+    return (1,) * (k - d.s) + head + (closing // d.r,)
+
+
 def extremal_gap_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     """The unique k-tuple attaining the sharp sum bound, or None.
 
     Shape: k-s ones, then (1 + u(i, q))/r for i = 1..s. Absent when k < s or
-    when r fails to divide some tail numerator.
+    when r fails to divide some tail numerator. A tuple that is built is
+    asserted to attain the bound, so every caller that builds one checks it.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    d = srq_decompose(delta, q)
-    if k < d.s:
-        return None
-    tail = []
-    for i in range(1, d.s + 1):
-        num = 1 + sylvester_u(i, q)
-        if num % d.r:
-            return None
-        tail.append(num // d.r)
-    t = (1,) * (k - d.s) + tuple(tail)
-    assert tuple_sum(t) == sharp_sum_bound(k, delta, q)
+    t = _gap_pattern(k, srq_decompose(delta, q))
+    assert t is None or tuple_sum(t) == sharp_sum_bound(k, delta, q)
     return t
 
 
@@ -103,29 +127,18 @@ def extremal_lcm_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     Shape: k-s ones, then (1 + u(i, q))/r for i = 1..s-1, closed by
     u(s, q)/r. Absent when k < s or when any entry is non-integral; the
     integrality works out exactly for s=1 with r | q, s=2 with r | 1+q, and
-    s >= 3 with r = 1.
+    s >= 3 with r = 1. A tuple that is built is asserted to sum to k - delta
+    and to attain lcm_bound.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError(f"extremal lcm tuple requires delta >= 0, got {delta}")
-    d = srq_decompose(delta, q)
-    if k < d.s:
-        return None
-    entries = []
-    for i in range(1, d.s):
-        num = 1 + sylvester_u(i, q)
-        if num % d.r:
-            return None
-        entries.append(num // d.r)
-    closing = sylvester_u(d.s, q)
-    if closing % d.r:
-        return None
-    entries.append(closing // d.r)
-    t = (1,) * (k - d.s) + tuple(entries)
-    assert tuple_sum(t) == k - delta
-    assert tuple_lcm(t) == lcm_bound(delta, q)
+    t = _lcm_pattern(k, srq_decompose(delta, q))
+    if t is not None:
+        assert tuple_sum(t) == k - delta
+        assert tuple_lcm(t) == lcm_bound(delta, q)
     return t
 
 
@@ -136,6 +149,10 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     for its deficiency, not merely match a bound numerically. Tuples summing
     to exactly k - delta are tested against the lcm families; tuples at the
     sharp sum bound against the gap families; anything else is NONE.
+
+    The tuple is summed once. Having matched a bound's value, it is compared
+    with the extremal pattern directly, without the constructors, whose
+    asserts would sum it again (and, for lcm, take its lcm).
 
     Gap families by delta range: NEGATIVE_DELTA (all ones), FRACTIONAL_DELTA
     (0 <= delta < 1, single tail term (1+q)/r), SYLVESTER_GAP (delta >= 1).
@@ -150,13 +167,13 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     total = tuple_sum(t)
 
     if total == k - delta:
-        if delta >= 0 and t == extremal_lcm_tuple(k, delta, q):
+        if delta >= 0 and t == _lcm_pattern(k, d):
             if d.s == 2 and d.r > 1:
                 return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
             return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
         return EqualityCase(EqualityFamily.NONE)
 
-    if total == sharp_sum_bound(k, delta, q) and t == extremal_gap_tuple(k, delta, q):
+    if total == sharp_sum_bound(k, delta, q) and t == _gap_pattern(k, d):
         if delta < 0:
             return EqualityCase(EqualityFamily.NEGATIVE_DELTA, t)
         if delta < 1:

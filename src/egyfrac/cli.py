@@ -15,6 +15,7 @@ be set with --budget or the EGYFRAC_ORACLE_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -360,10 +361,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main uses, built by build_parser on the first call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; returns its exit code.
+
+    The parser is built once per process, on the first call, and reused:
+    parsing leaves no state in it. build_parser() itself still returns a
+    fresh parser.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
     try:

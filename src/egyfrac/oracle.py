@@ -128,7 +128,12 @@ def lcm_square_check(t, q: int) -> bool:
     t = as_tuple(t)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    lcm_value = math.lcm(*t)
+    return _square_check(t, q, math.lcm(*t))
+
+
+def _square_check(t: tuple[int, ...], q: int, lcm_value: int) -> bool:
+    """lcm_square_check without input validation: t and q must be valid and
+    lcm_value the lcm of t. Both preconditions are still checked."""
     scaled_sum = sum(lcm_value // m for m in t)
     if q * scaled_sum % lcm_value:
         shortfall = len(t) - Fraction(scaled_sum, lcm_value)
@@ -145,9 +150,10 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     maximum lcm with all its attainers, and compare against lcm_bound.
 
     Every enumerated tuple whose lcm the modulus divides (all of them when q
-    is canonical) is also run through lcm_square_check; walk has already
-    proved its class membership, and the check re-verifies it without
-    Fractions. Tuples whose lcm equals the bound become equality witnesses.
+    is canonical) is also run through lcm_square_check's core, given the lcm
+    already taken; walk has already proved its class membership, and the
+    check re-verifies it without Fractions. Tuples whose lcm equals the
+    bound become equality witnesses.
     The budget counts walk's yields: the prefixes with two or more slots
     left, and each class member that closes one of them (for k = 1, the
     root and its member). Requires delta >= 0.
@@ -180,7 +186,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         lcm_value = tuple_lcm(t)
         if lcm_value > bound:
             counterexamples.append(Counterexample("lcm above bound", t, delta, q))
-        if lcm_value % q == 0 and not lcm_square_check(t, q):
+        if lcm_value % q == 0 and not _square_check(t, q, lcm_value):
             counterexamples.append(
                 Counterexample("lcm square inequality violated", t, delta, q)
             )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egyfrac import bounds
 from egyfrac.bounds import (
     EqualityCase,
     EqualityFamily,
@@ -17,7 +18,7 @@ from egyfrac.bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from egyfrac.egyptian import enumerate_deficiency, tuple_lcm, tuple_sum
+from egyfrac.egyptian import as_tuple, enumerate_deficiency, tuple_lcm, tuple_sum
 from egyfrac.rationals import floor_frac, srq_decompose
 from egyfrac.sylvester import sylvester_u
 
@@ -275,3 +276,186 @@ def test_classify_equality_accepts_exactly_the_extremal_tuples(k, q, data):
     case = classify_equality(t, delta, q)
     assert (case.tag is not EqualityFamily.NONE) == (t in extremal)
     assert case.witness == (t if t in extremal else None)
+
+
+def _reference_gap_tuple(k, delta, q):
+    """extremal_gap_tuple as it read before its pattern was split out."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    d = srq_decompose(delta, q)
+    if k < d.s:
+        return None
+    tail = []
+    for i in range(1, d.s + 1):
+        num = 1 + sylvester_u(i, q)
+        if num % d.r:
+            return None
+        tail.append(num // d.r)
+    t = (1,) * (k - d.s) + tuple(tail)
+    assert tuple_sum(t) == sharp_sum_bound(k, delta, q)
+    return t
+
+
+def _reference_lcm_tuple(k, delta, q):
+    """extremal_lcm_tuple as it read before its pattern was split out."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError(f"extremal lcm tuple requires delta >= 0, got {delta}")
+    d = srq_decompose(delta, q)
+    if k < d.s:
+        return None
+    entries = []
+    for i in range(1, d.s):
+        num = 1 + sylvester_u(i, q)
+        if num % d.r:
+            return None
+        entries.append(num // d.r)
+    closing = sylvester_u(d.s, q)
+    if closing % d.r:
+        return None
+    entries.append(closing // d.r)
+    t = (1,) * (k - d.s) + tuple(entries)
+    assert tuple_sum(t) == k - delta
+    assert tuple_lcm(t) == lcm_bound(delta, q)
+    return t
+
+
+def _reference_classify(t, delta, q):
+    """classify_equality as it read when it called the public constructors,
+    which re-sum (and, for lcm, re-take the lcm of) the tuple it has summed."""
+    t = as_tuple(t)
+    delta = Fraction(delta)
+    d = srq_decompose(delta, q)
+    k = len(t)
+    if k == 0:
+        return EqualityCase(EqualityFamily.NONE)
+    total = tuple_sum(t)
+
+    if total == k - delta:
+        if delta >= 0 and t == _reference_lcm_tuple(k, delta, q):
+            if d.s == 2 and d.r > 1:
+                return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
+            return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
+        return EqualityCase(EqualityFamily.NONE)
+
+    if total == sharp_sum_bound(k, delta, q) and t == _reference_gap_tuple(k, delta, q):
+        if delta < 0:
+            return EqualityCase(EqualityFamily.NEGATIVE_DELTA, t)
+        if delta < 1:
+            return EqualityCase(EqualityFamily.FRACTIONAL_DELTA, t)
+        return EqualityCase(EqualityFamily.SYLVESTER_GAP, t)
+
+    return EqualityCase(EqualityFamily.NONE)
+
+
+def _outcome(classify, t, delta, q):
+    """(tag, witness) of a classification, or the text of its ValueError."""
+    try:
+        case = classify(t, delta, q)
+    except ValueError as e:
+        return ("ValueError", str(e))
+    return (case.tag, case.witness)
+
+
+# deficiencies -1, -1/2, ..., 12, each at its canonical q and at twice it
+HALF_GRID = [
+    (Fraction(n, 2), q)
+    for n in range(-2, 25)
+    for q in (Fraction(n, 2).denominator, 2 * Fraction(n, 2).denominator)
+]
+DEEP_CELLS = [(Fraction(14), 1), (Fraction(35, 2), 2), (Fraction(18), 1)]
+
+
+def _extremal_cases(cells, ks):
+    """Every extremal tuple of the cells, with (k, delta, q) and its kind."""
+    for delta, q in cells:
+        for k in ks(srq_decompose(delta, q).s):
+            kinds = [("gap", _reference_gap_tuple)]
+            if delta >= 0:
+                kinds.append(("lcm", _reference_lcm_tuple))
+            for kind, make in kinds:
+                t = make(k, delta, q)
+                if t is not None:
+                    yield kind, k, delta, q, t
+
+
+def _with_neighbours(t):
+    """t and t with its last entry one lower and one higher."""
+    return [t, t[:-1] + (t[-1] - 1,), t[:-1] + (t[-1] + 1,)]
+
+
+def test_constructors_match_the_reference_on_the_half_grid():
+    for delta, q in HALF_GRID:
+        for k in range(1, 9):
+            assert extremal_gap_tuple(k, delta, q) == _reference_gap_tuple(k, delta, q)
+            if delta >= 0:
+                assert extremal_lcm_tuple(k, delta, q) == _reference_lcm_tuple(k, delta, q)
+
+
+def test_classify_matches_the_reference_on_extremal_tuples_and_neighbours():
+    cases = list(_extremal_cases(HALF_GRID, lambda s: range(1, 9)))
+    assert len(cases) > 100
+    for _, _, delta, q, t in cases:
+        for u in _with_neighbours(t):
+            new = _outcome(classify_equality, u, delta, q)
+            assert new == _outcome(_reference_classify, u, delta, q), (u, delta, q)
+        assert classify_equality(t, delta, q).tag is not EqualityFamily.NONE
+
+
+def test_classify_matches_the_reference_on_deep_cells():
+    cases = list(_extremal_cases(DEEP_CELLS, lambda s: (s, s + 2)))
+    assert len(cases) == 12  # r = 1 in each cell: gap and lcm at both k
+    for _, _, delta, q, t in cases:
+        for u in _with_neighbours(t):
+            new = _outcome(classify_equality, u, delta, q)
+            assert new == _outcome(_reference_classify, u, delta, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.lists(st.integers(0, 50), max_size=6),
+    sort=st.booleans(),
+    num=st.integers(-6, 16),
+    den=st.integers(1, 4),
+    q=st.integers(1, 6),
+)
+def test_classify_matches_the_reference_on_arbitrary_tuples(t, sort, num, den, q):
+    t = tuple(sorted(t)) if sort else tuple(t)
+    delta = Fraction(num, den)
+    assert _outcome(classify_equality, t, delta, q) == _outcome(
+        _reference_classify, t, delta, q
+    )
+
+
+def _counting(monkeypatch, name):
+    """Wrap egyfrac.bounds.<name> so that its calls are counted."""
+    calls = []
+    real = getattr(bounds, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("delta, q", DEEP_CELLS)
+@pytest.mark.parametrize("kind", ["gap", "lcm"])
+def test_classify_sums_a_deep_extremal_tuple_once(monkeypatch, kind, delta, q):
+    make = extremal_gap_tuple if kind == "gap" else extremal_lcm_tuple
+    t = make(srq_decompose(delta, q).s + 1, delta, q)
+    sums = _counting(monkeypatch, "tuple_sum")
+    lcms = _counting(monkeypatch, "tuple_lcm")
+    assert classify_equality(t, delta, q).witness == t
+    assert (len(sums), len(lcms)) == (1, 0)
+
+
+def test_constructors_still_assert_the_bounds(monkeypatch):
+    monkeypatch.setattr(bounds, "tuple_sum", lambda t: Fraction(0))
+    with pytest.raises(AssertionError):
+        extremal_gap_tuple(3, 2, 1)
+    with pytest.raises(AssertionError):
+        extremal_lcm_tuple(3, 2, 1)

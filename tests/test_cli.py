@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-from egyfrac import __version__
+from egyfrac import __version__, cli
 from egyfrac.cli import BUDGET_ENV_VAR, main
 from egyfrac.rationals import parse_rational
 
@@ -350,3 +351,70 @@ def test_readme_cli_examples(capsys):
     for command, printed in examples:
         code, out, _ = run(capsys, *shlex.split(command))
         assert (code, out) == (0, printed), command
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's parser cache, emptied before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch, fresh_parser):
+    builds = []
+    real = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["gap", "--delta", "2", "--k", "3"], ["greedy", "5/6"], ["nonsense"],
+                 ["--version"], ["lcm-bound", "--delta", "2", "--format", "json"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert real() is not real()  # called directly, it still builds a fresh one
+
+
+_ARGS = {
+    "greedy": ["9/20"],
+    "split": ["2,3", "--at", "2"],
+    "enumerate": ["--sum", "1", "--terms", "3"],
+    "extremal": ["--kind", "lcm", "--k", "4", "--delta", "3/2"],
+    "gap": ["--delta", "2", "--k", "3"],
+    "lcm-bound": ["--delta", "5/2", "--q", "4"],
+    "sylvester": ["--p", "4", "--q", "2", "--table"],
+    "oracle": ["--k-max", "2", "--delta-list", "0,1/2"],
+    "geometry": ["--dim", "1", "--coeffs", "m:2,m:3,m:7,one"],
+}
+ORDER_ARGVS = [
+    [command, *args, "--format", fmt]
+    for command, args in _ARGS.items()
+    for fmt in (("text", "json", "csv") if command in CSV_COMMANDS else ("text", "json"))
+] + [
+    [],  # usage error: no subcommand
+    ["gap", "--delta"],  # usage error: missing value
+    ["--version"],
+    ["--help"],
+    ["extremal", "--help"],
+    ["gap", "--delta", "-2"],  # domain error
+    ["gap", "--delta", "2", "--format", "csv"],  # csv refusal
+]
+
+
+def test_outputs_do_not_depend_on_call_order(capsys, monkeypatch, fresh_parser):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+
+    def outcome(argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"millis": \d+', '"millis": 0', out), err
+
+    forward = [outcome(argv) for argv in ORDER_ARGVS]
+    backward = [outcome(argv) for argv in reversed(ORDER_ARGVS)][::-1]
+    for argv, ahead, behind in zip(ORDER_ARGVS, forward, backward):
+        assert ahead == behind, argv
+    codes = [code for code, _, _ in forward]
+    assert codes.count(0) == len(ORDER_ARGVS) - 4  # the usage, domain and csv errors

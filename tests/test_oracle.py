@@ -492,6 +492,21 @@ def test_lcm_square_check_always_in_domain_at_canonical_q():
             assert lcm_square_check(t, q), (t, q)
 
 
+def test_max_lcm_search_takes_one_lcm_per_member(monkeypatch):
+    # walk has proved each member and tuple_lcm has taken its lcm: the search
+    # neither re-validates the member nor takes the lcm again
+    def no_validation(t):
+        raise AssertionError("max_lcm_search re-validated a class member")
+
+    lcms = []
+    real_lcm = math.lcm
+    monkeypatch.setattr(oracle, "as_tuple", no_validation)
+    monkeypatch.setattr(math, "lcm", lambda *t: lcms.append(t) or real_lcm(*t))
+    report = max_lcm_search(5, F(5, 2), 2)
+    monkeypatch.undo()
+    assert report.equality_witnesses and not report.counterexamples
+    assert len(lcms) == report.details["class_size"] > 0
+
 def test_sweep_frozen_grid():
     config = SweepConfig(
         k_max=4, deltas=(F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2))
