@@ -75,36 +75,23 @@ def lcm_bound(delta, q: int) -> Fraction:
     return Fraction(sylvester_u(d.s, q), d.r)
 
 
-def _companions(d: SRQ, count: int) -> tuple[int, ...] | None:
-    """(1 + u(i, q))/r for i = 1..count, or None when r fails to divide one."""
-    out = []
-    for i in range(1, count + 1):
-        num = 1 + sylvester_u(i, d.q)
+def _pattern(k: int, d: SRQ, closing: int) -> EgyptianTuple | None:
+    """An extremal shape for d = srq_decompose(delta, q), unchecked: k-s ones,
+    then (1 + u(i, q))/r for i < s, then (closing + u(s, q))/r.
+
+    closing=1 gives extremal_gap_tuple's shape, closing=0 extremal_lcm_tuple's.
+    None when k < s, returned at the first entry r fails to divide, before
+    any later (larger) u is built.
+    """
+    if k < d.s:
+        return None
+    out = [1] * (k - d.s)
+    for i in range(1, d.s + 1):
+        num = (1 if i < d.s else closing) + sylvester_u(i, d.q)
         if num % d.r:
             return None
         out.append(num // d.r)
     return tuple(out)
-
-
-def _gap_pattern(k: int, d: SRQ) -> EgyptianTuple | None:
-    """extremal_gap_tuple's shape for d = srq_decompose(delta, q), unchecked."""
-    if k < d.s:
-        return None
-    tail = _companions(d, d.s)
-    return None if tail is None else (1,) * (k - d.s) + tail
-
-
-def _lcm_pattern(k: int, d: SRQ) -> EgyptianTuple | None:
-    """extremal_lcm_tuple's shape for d = srq_decompose(delta, q), unchecked."""
-    if k < d.s:
-        return None
-    head = _companions(d, d.s - 1)
-    if head is None:
-        return None
-    closing = sylvester_u(d.s, d.q)
-    if closing % d.r:
-        return None
-    return (1,) * (k - d.s) + head + (closing // d.r,)
 
 
 def extremal_gap_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
@@ -116,7 +103,7 @@ def extremal_gap_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    t = _gap_pattern(k, srq_decompose(delta, q))
+    t = _pattern(k, srq_decompose(delta, q), 1)
     assert t is None or tuple_sum(t) == sharp_sum_bound(k, delta, q)
     return t
 
@@ -135,7 +122,7 @@ def extremal_lcm_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     delta = Fraction(delta)
     if delta < 0:
         raise ValueError(f"extremal lcm tuple requires delta >= 0, got {delta}")
-    t = _lcm_pattern(k, srq_decompose(delta, q))
+    t = _pattern(k, srq_decompose(delta, q), 0)
     if t is not None:
         assert tuple_sum(t) == k - delta
         assert tuple_lcm(t) == lcm_bound(delta, q)
@@ -167,13 +154,13 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     total = tuple_sum(t)
 
     if total == k - delta:
-        if delta >= 0 and t == _lcm_pattern(k, d):
+        if delta >= 0 and t == _pattern(k, d, 0):
             if d.s == 2 and d.r > 1:
                 return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
             return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
         return EqualityCase(EqualityFamily.NONE)
 
-    if total == sharp_sum_bound(k, delta, q) and t == _gap_pattern(k, d):
+    if total == sharp_sum_bound(k, delta, q) and t == _pattern(k, d, 1):
         if delta < 0:
             return EqualityCase(EqualityFamily.NEGATIVE_DELTA, t)
         if delta < 1:

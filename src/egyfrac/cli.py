@@ -46,7 +46,7 @@ from .geometry import (
 from .oracle import DEFAULT_BUDGET, SweepConfig, sweep
 from .rationals import canonical_q, parse_rational, rational_str
 from .report import report_to_dict
-from .sylvester import sylvester_term, sylvester_u
+from .sylvester import sylvester_u
 
 BUDGET_ENV_VAR = "EGYFRAC_ORACLE_BUDGET"
 
@@ -218,15 +218,14 @@ def cmd_extremal(args) -> int:
 
 def cmd_sylvester(args) -> int:
     inputs = {"p": args.p, "q": args.q, "table": args.table}
+    # taken before branching, so a bad --p or --q fails the table too
+    u_val = sylvester_u(args.p, args.q)
     if args.table:
-        rows = [
-            (p, sylvester_u(p, args.q), sylvester_term(p, args.q))
-            for p in range(1, args.p + 1)
-        ]
-        table = [{"p": p, "u": str(u_val), "t": str(t_val)} for p, u_val, t_val in rows]
+        us = (sylvester_u(p, args.q) for p in range(1, args.p + 1))
+        rows = [(p, u, 1 + u) for p, u in enumerate(us, 1)]
+        table = [{"p": p, "u": str(u), "t": str(t)} for p, u, t in rows]
         _emit(args, inputs, {"table": table}, rows=rows)
     else:
-        u_val = sylvester_u(args.p, args.q)
         result = {"u": str(u_val), "t": str(1 + u_val)}
         _emit(args, inputs, result, _scalars(result, "u", "t"))
     return 0

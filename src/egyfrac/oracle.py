@@ -37,6 +37,27 @@ from .report import Counterexample, EqualityWitness, SearchStats, VerificationRe
 DEFAULT_BUDGET = 10**8
 
 
+def _check_search(k: int, budget: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+
+
+def _witness(t: tuple[int, ...], delta: Fraction, q: int) -> EqualityWitness:
+    """t, found at a bound, tagged with its equality family."""
+    return EqualityWitness(t, delta, q, classify_equality(t, delta, q).tag.value)
+
+
+def _finish(report: VerificationReport, nodes: int, t0: float,
+            exceeded: bool) -> VerificationReport:
+    """Stamp a finished run's node count, time since t0 and budget flag."""
+    millis = int((time.perf_counter() - t0) * 1000)
+    report.stats = SearchStats(nodes=nodes, millis=millis)
+    report.budget_exceeded = exceeded
+    return report
+
+
 def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Search the open interval (sharp_sum_bound, k - delta) for achievable
     k-term sums; record tuples attaining the bound itself as witnesses.
@@ -48,25 +69,26 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
     below the bound, the next denominator m is capped by slots/m >= bound-P,
     which keeps the tree finite.
     """
+    _check_search(k, budget)
     delta = Fraction(delta)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
     bound = sharp_sum_bound(k, delta, q)
     top = k - delta
+    report = VerificationReport(
+        {
+            "k": k,
+            "delta": delta,
+            "q": q,
+            "sharp_sum_bound": bound,
+            "window_top": top,
+        }
+    )
     t0 = time.perf_counter()
-    counterexamples: list[Counterexample] = []
-    witnesses: list[EqualityWitness] = []
     nodes = 0
-    exceeded = False
     # cap k + 1 never binds: a child of a prefix P < bound <= k sums to at
     # most P + 1 < k + 1, so its children are every m >= prev up to the
     # slots/m >= bound - P limit
-    for prefix, slots, side, num, den in walk(k, bound, k + 1):
-        nodes += 1
+    for nodes, (prefix, slots, side, num, den) in enumerate(walk(k, bound, k + 1), 1):
         if nodes > budget:
-            exceeded = True
             break
         if num * top.denominator >= top.numerator * den:
             continue  # at or past the window top; sums only grow
@@ -76,13 +98,12 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
                 if slots == 0
                 else "prefix completable into forbidden window"
             )
-            counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
+            report.counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
         elif side == 0:
             if slots == 0:
-                tag = classify_equality(prefix, delta, q).tag.value
-                witnesses.append(EqualityWitness(tuple(prefix), delta, q, tag))
+                report.equality_witnesses.append(_witness(tuple(prefix), delta, q))
             else:
-                counterexamples.append(
+                report.counterexamples.append(
                     Counterexample(
                         "boundary prefix completable into forbidden window",
                         tuple(prefix),
@@ -90,20 +111,7 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
                         q,
                     )
                 )
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(
-        parameters={
-            "k": k,
-            "delta": delta,
-            "q": q,
-            "sharp_sum_bound": bound,
-            "window_top": top,
-        },
-        counterexamples=counterexamples,
-        equality_witnesses=witnesses,
-        stats=SearchStats(nodes=nodes, millis=millis),
-        budget_exceeded=exceeded,
-    )
+    return _finish(report, nodes, t0, nodes > budget)
 
 
 def lcm_square_check(t, q: int) -> bool:
@@ -158,26 +166,19 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     left, and each class member that closes one of them (for k = 1, the
     root and its member). Requires delta >= 0.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    _check_search(k, budget)
     delta = Fraction(delta)
     bound = lcm_bound(delta, q)  # validates delta >= 0 and q
     target = k - delta
+    report = VerificationReport({"k": k, "delta": delta, "q": q, "lcm_bound": bound})
     t0 = time.perf_counter()
-    counterexamples: list[Counterexample] = []
-    witnesses: list[EqualityWitness] = []
     maximizers: list[tuple[int, ...]] = []
     max_lcm = 0
     count = 0
     nodes = 0
-    exceeded = False
     # a negative target (delta > k) leaves the root above it: no children
-    for prefix, slots, side, _, _ in walk(k, target, target):
-        nodes += 1
+    for nodes, (prefix, slots, side, _, _) in enumerate(walk(k, target, target), 1):
         if nodes > budget:
-            exceeded = True
             break
         if slots or side:
             continue
@@ -185,9 +186,9 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         count += 1
         lcm_value = tuple_lcm(t)
         if lcm_value > bound:
-            counterexamples.append(Counterexample("lcm above bound", t, delta, q))
+            report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
         if lcm_value % q == 0 and not _square_check(t, q, lcm_value):
-            counterexamples.append(
+            report.counterexamples.append(
                 Counterexample("lcm square inequality violated", t, delta, q)
             )
         if lcm_value > max_lcm:
@@ -195,21 +196,13 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         elif lcm_value == max_lcm:
             maximizers.append(t)
         if lcm_value == bound:
-            tag = classify_equality(t, delta, q).tag.value
-            witnesses.append(EqualityWitness(t, delta, q, tag))
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(
-        parameters={"k": k, "delta": delta, "q": q, "lcm_bound": bound},
-        counterexamples=counterexamples,
-        equality_witnesses=witnesses,
-        stats=SearchStats(nodes=nodes, millis=millis),
-        budget_exceeded=exceeded,
-        details={
-            "class_size": count,
-            "max_lcm": max_lcm if count else None,
-            "maximizers": maximizers,
-        },
-    )
+            report.equality_witnesses.append(_witness(t, delta, q))
+    report.details = {
+        "class_size": count,
+        "max_lcm": max_lcm if count else None,
+        "maximizers": maximizers,
+    }
+    return _finish(report, nodes, t0, nodes > budget)
 
 
 @dataclass(frozen=True)
@@ -275,27 +268,36 @@ def sweep(config: SweepConfig) -> VerificationReport:
         for check in ((gap, lcm) if delta >= 0 else (gap,))
     ]
 
+    report = VerificationReport(
+        {
+            "k_max": config.k_max,
+            "deltas": list(deltas),
+            "q_mode": config.q_mode,
+            "budget": config.budget,
+            "cells": len(cells),
+        }
+    )
     t0 = time.perf_counter()
-    counterexamples: list[Counterexample] = []
-    witnesses: list[EqualityWitness] = []
     nodes = 0
     exceeded = False
+    # a remaining budget of 0 is no valid search budget, so the flag is
+    # raised before the next search rather than derived from nodes
     for k, delta, q, (search, extremal, kind) in checks:
         exceeded = nodes >= config.budget
         if exceeded:
             break
-        report = search(k, delta, q, budget=config.budget - nodes)
-        nodes += report.stats.nodes
-        counterexamples.extend(report.counterexamples)
-        witnesses.extend(report.equality_witnesses)
-        exceeded = report.budget_exceeded
+        cell = search(k, delta, q, budget=config.budget - nodes)
+        nodes += cell.stats.nodes
+        report.counterexamples.extend(cell.counterexamples)
+        report.equality_witnesses.extend(cell.equality_witnesses)
+        exceeded = cell.budget_exceeded
         if exceeded:
             break
-        found = [w.denominators for w in report.equality_witnesses]
+        found = [w.denominators for w in cell.equality_witnesses]
         expected = extremal(k, delta, q)
         wanted = [] if expected is None else [expected]
         if found != wanted:
-            counterexamples.append(
+            report.counterexamples.append(
                 Counterexample(
                     f"{kind} equality witnesses {found} do not match "
                     f"extremal construction {wanted}",
@@ -304,9 +306,9 @@ def sweep(config: SweepConfig) -> VerificationReport:
                     q,
                 )
             )
-        for w in report.equality_witnesses:
+        for w in cell.equality_witnesses:
             if w.family == "NONE":
-                counterexamples.append(
+                report.counterexamples.append(
                     Counterexample(
                         f"{kind} equality witness left unclassified",
                         w.denominators,
@@ -314,18 +316,4 @@ def sweep(config: SweepConfig) -> VerificationReport:
                         w.q,
                     )
                 )
-
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(
-        parameters={
-            "k_max": config.k_max,
-            "deltas": list(deltas),
-            "q_mode": config.q_mode,
-            "budget": config.budget,
-            "cells": len(cells),
-        },
-        counterexamples=counterexamples,
-        equality_witnesses=witnesses,
-        stats=SearchStats(nodes=nodes, millis=millis),
-        budget_exceeded=exceeded,
-    )
+    return _finish(report, nodes, t0, exceeded)

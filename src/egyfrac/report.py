@@ -43,12 +43,17 @@ class VerificationReport:
     ran out before the range was covered; the two causes stay separable
     through budget_exceeded. On any completed run, passed is equivalent to
     the counterexample list being empty.
+
+    Only parameters is required: the lists default to fresh empty lists,
+    stats to SearchStats(0, 0). A verifier builds its report before it
+    starts, appends to the lists as it goes, and stamps stats and
+    budget_exceeded when it finishes.
     """
 
     parameters: dict[str, Any]
-    counterexamples: list[Counterexample]
-    equality_witnesses: list[EqualityWitness]
-    stats: SearchStats
+    counterexamples: list[Counterexample] = field(default_factory=list)
+    equality_witnesses: list[EqualityWitness] = field(default_factory=list)
+    stats: SearchStats = SearchStats(0, 0)
     budget_exceeded: bool = False
     details: dict[str, Any] = field(default_factory=dict)
 

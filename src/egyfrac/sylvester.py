@@ -120,6 +120,5 @@ def check_identities(p_max: int, q_max: int) -> VerificationReport:
     return VerificationReport(
         parameters={"p_max": p_max, "q_max": q_max},
         counterexamples=counterexamples,
-        equality_witnesses=[],
         stats=SearchStats(nodes=checked, millis=millis),
     )

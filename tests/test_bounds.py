@@ -127,6 +127,13 @@ def test_extremal_lcm_frozen():
         extremal_lcm_tuple(3, Fraction(-1, 2), 2)
 
 
+def test_extremal_tuples_stop_at_the_first_entry_r_fails_to_divide():
+    # s = 40, r = 2, q = 3: r fails to divide 1 + u(2, 3) = 13, long before
+    # u(40, 3) would pass the bit ceiling on Sylvester values
+    assert extremal_gap_tuple(40, Fraction(118, 3), 3) is None
+    assert extremal_lcm_tuple(40, Fraction(118, 3), 3) is None
+
+
 def test_extremal_gap_attains_bound():
     for delta, base in GRID:
         for q in (base, 2 * base):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv): formats, exit codes, env."""
 
+import doctest
 import json
 import os
 import re
@@ -135,6 +136,18 @@ def test_sylvester_table(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result == {"u": "42", "t": "43"}  # big values travel as strings
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["sylvester", "--p", "0", "--q", "1"],
+    ["sylvester", "--p", "-3", "--q", "0"],
+])
+def test_sylvester_table_rejects_what_the_single_value_rejects(capsys, argv, fmt):
+    single = run(capsys, *argv, "--format", fmt)
+    assert single[:2] == (1, "")
+    assert single[2].startswith("egyfrac: error: ")
+    assert run(capsys, *argv, "--table", "--format", fmt) == single
 
 
 def test_version_and_usage_errors(capsys):
@@ -351,6 +364,19 @@ def test_readme_cli_examples(capsys):
     for command, printed in examples:
         code, out, _ = run(capsys, *shlex.split(command))
         assert (code, out) == (0, printed), command
+
+
+def test_readme_python_example():
+    """README's `python` block, run through doctest; splitting on the fences
+    keeps the closing one from being read as expected output."""
+    blocks = [block.removeprefix("python\n")
+              for block in README.read_text().split("```")[1::2]
+              if block.startswith("python\n")]
+    assert len(blocks) == 1
+    parser = doctest.DocTestParser()
+    example = parser.get_doctest(blocks[0], {}, "README", str(README), 0)
+    assert len(example.examples) == 6
+    assert doctest.DocTestRunner().run(example) == (0, 6)
 
 
 @pytest.fixture

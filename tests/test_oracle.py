@@ -1,6 +1,7 @@
 """Window and lcm verification searches, plus the grid sweep around them."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -31,7 +32,13 @@ from egyfrac.oracle import (
     sweep,
     window_search,
 )
-from egyfrac.report import Counterexample, EqualityWitness
+from egyfrac.report import (
+    Counterexample,
+    EqualityWitness,
+    SearchStats,
+    VerificationReport,
+    report_to_dict,
+)
 
 F = Fraction
 
@@ -562,3 +569,129 @@ def test_sweep_rejects_bad_config():
         sweep(SweepConfig(k_max=2, deltas=(F(1), F(1, 2)), q_mode="all-upto:1"))
     with pytest.raises(ValueError):
         sweep(SweepConfig(k_max=2, deltas=(F(0),), budget=0))
+
+
+def _report_json(report) -> str:
+    d = report_to_dict(report)
+    del d["stats"]["millis"]
+    return json.dumps(d)
+
+
+def _witness_json(denominators, delta, q, family) -> dict:
+    return {"denominators": [str(m) for m in denominators], "delta": delta,
+            "q": q, "family": family}
+
+
+README_SWEEP_WITNESSES = [
+    ((1,), "-1", 1, "NEGATIVE_DELTA"),
+    ((1, 1), "-1", 1, "NEGATIVE_DELTA"),
+    ((1, 1, 1), "-1", 1, "NEGATIVE_DELTA"),
+    ((2,), "0", 1, "FRACTIONAL_DELTA"),
+    ((1,), "0", 1, "SYLVESTER_LCM"),
+    ((1, 2), "0", 1, "FRACTIONAL_DELTA"),
+    ((1, 1), "0", 1, "SYLVESTER_LCM"),
+    ((1, 1, 2), "0", 1, "FRACTIONAL_DELTA"),
+    ((1, 1, 1), "0", 1, "SYLVESTER_LCM"),
+    ((3,), "1/2", 2, "FRACTIONAL_DELTA"),
+    ((2,), "1/2", 2, "SYLVESTER_LCM"),
+    ((1, 3), "1/2", 2, "FRACTIONAL_DELTA"),
+    ((1, 2), "1/2", 2, "SYLVESTER_LCM"),
+    ((1, 1, 3), "1/2", 2, "FRACTIONAL_DELTA"),
+    ((1, 1, 2), "1/2", 2, "SYLVESTER_LCM"),
+    ((2, 3), "1", 1, "SYLVESTER_GAP"),
+    ((2, 2), "1", 1, "SYLVESTER_LCM"),
+    ((1, 2, 3), "1", 1, "SYLVESTER_GAP"),
+    ((1, 2, 2), "1", 1, "SYLVESTER_LCM"),
+]
+README_DELTAS = (F(-1), F(0), F(1, 2), F(1))
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: window_search(3, 2, 1), {
+        "passed": True,
+        "parameters": {"k": 3, "delta": "2", "q": 1, "sharp_sum_bound": "41/42",
+                       "window_top": "1"},
+        "counterexamples": [],
+        "equality_witnesses": [_witness_json((2, 3, 7), "2", 1, "SYLVESTER_GAP")],
+        "stats": {"nodes": 15},
+    }),
+    (lambda: window_search(4, 2, 1, budget=3), {
+        "passed": False,
+        "parameters": {"k": 4, "delta": "2", "q": 1, "sharp_sum_bound": "83/42",
+                       "window_top": "2"},
+        "counterexamples": [],
+        "equality_witnesses": [],
+        "stats": {"nodes": 4},
+        "budget_exceeded": True,
+    }),
+    (lambda: max_lcm_search(3, 2, 1), {
+        "passed": True,
+        "parameters": {"k": 3, "delta": "2", "q": 1, "lcm_bound": "6"},
+        "counterexamples": [],
+        "equality_witnesses": [_witness_json((2, 3, 6), "2", 1, "SYLVESTER_LCM")],
+        "stats": {"nodes": 7},
+        "details": {"class_size": 3, "max_lcm": "6", "maximizers": [["2", "3", "6"]]},
+    }),
+    (lambda: sweep(SweepConfig(k_max=3, deltas=README_DELTAS)), {
+        "passed": True,
+        "parameters": {"k_max": 3, "deltas": ["-1", "0", "1/2", "1"],
+                       "q_mode": "canonical", "budget": 100000000, "cells": 12},
+        "counterexamples": [],
+        "equality_witnesses": [_witness_json(*w) for w in README_SWEEP_WITNESSES],
+        "stats": {"nodes": 68},
+    }),
+    # a sweep that spends its budget exactly stops before the next search
+    (lambda: sweep(SweepConfig(k_max=3, deltas=README_DELTAS, budget=5)), {
+        "passed": False,
+        "parameters": {"k_max": 3, "deltas": ["-1", "0", "1/2", "1"],
+                       "q_mode": "canonical", "budget": 5, "cells": 12},
+        "counterexamples": [],
+        "equality_witnesses": [_witness_json(*w) for w in README_SWEEP_WITNESSES[:2]],
+        "stats": {"nodes": 5},
+        "budget_exceeded": True,
+    }),
+], ids=["window", "window-budget", "lcm", "readme-sweep", "sweep-budget"])
+def test_report_json_is_pinned(run, expected):
+    # compared as text, so key order and the optional keys are pinned too
+    assert _report_json(run()) == json.dumps(expected)
+
+
+BAD_SEARCH_ARGUMENTS = [
+    ((0, 2, 1), {}, "k must be positive, got 0", None),
+    ((3, 2, 1), {"budget": 0}, "budget must be positive, got 0", None),
+    ((3, "x", 1), {}, "Invalid literal for Fraction: 'x'", None),
+    ((3, -2, 1), {}, "delta must be >= -1, got -2",
+     "lcm bound requires delta >= 0, got -2"),
+    ((3, F(1, 3), 1), {}, "q*delta must be an integer, got q=1, delta=1/3", None),
+    ((3, 2, 0), {}, "q must be a positive integer, got 0", None),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, window_message, lcm_message",
+                         BAD_SEARCH_ARGUMENTS)
+def test_searches_name_each_bad_argument(args, kwargs, window_message, lcm_message):
+    for search, message in ((window_search, window_message),
+                            (max_lcm_search, lcm_message or window_message)):
+        with pytest.raises(ValueError) as excinfo:
+            search(*args, **kwargs)
+        assert str(excinfo.value) == message, search.__name__
+
+
+def test_searches_check_k_and_budget_before_delta():
+    for search in (window_search, max_lcm_search):
+        with pytest.raises(ValueError, match="^k must be positive, got 0$"):
+            search(0, "x", 1)
+        with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
+            search(3, "x", 1, budget=0)
+
+
+def test_report_defaults_are_empty_and_unshared():
+    a, b = VerificationReport({}), VerificationReport({})
+    assert a.passed
+    assert (a.counterexamples, a.equality_witnesses, a.details) == ([], [], {})
+    assert a.stats == SearchStats(0, 0)
+    assert not a.budget_exceeded
+    a.counterexamples.append(Counterexample("c", (1,)))
+    a.equality_witnesses.append(EqualityWitness((1,), F(-1), 1, "NEGATIVE_DELTA"))
+    assert b.counterexamples == [] and b.equality_witnesses == []
+    assert not a.passed and b.passed
