@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import (
+    EqualityFamily,
     classify_equality,
     extremal_gap_tuple,
     extremal_lcm_tuple,
@@ -208,10 +209,19 @@ def cmd_extremal(args) -> int:
     if t is None:
         _emit(args, inputs, result, ["absent"], rows=[])
         return 0
+    family = classify_equality(t, args.delta, q).tag
+    # a family is matched only on an exact sum: k - delta for the lcm
+    # families, the sharp sum bound for the gap families
+    if family is EqualityFamily.NONE:
+        total = tuple_sum(t)
+    elif family in (EqualityFamily.SYLVESTER_LCM, EqualityFamily.TWO_TERM_LCM):
+        total = args.k - args.delta
+    else:
+        total = sharp_sum_bound(args.k, args.delta, q)
     result["denominators"] = _tuple_strs(t)
-    result["sum"] = rational_str(tuple_sum(t))
+    result["sum"] = rational_str(total)
     result["lcm"] = str(tuple_lcm(t))
-    result["family"] = classify_equality(t, args.delta, q).tag.value
+    result["family"] = family.value
     _emit(args, inputs, result, rows=[t])
     return 0
 

@@ -147,15 +147,21 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     0). So an exact walk yields its prefixes with two or more slots plus
     the closed pairs (for k = 1, the root and its one leaf, if any); every
     k-term tuple summing to low is still yielded once, in the same order.
+
+    The walk is one loop over an explicit stack, without recursion: each
+    yield costs the same at every depth.
     """
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
-    # an exact target closes its prefixes with two slots left; visit
+    # an exact target closes its prefixes with two slots left; the loop
     # compares only nonzero slots, so 0 means "never"
     close_at = 2 if (a, b) == (c, d) else 0
     prefix: list[int] = []
-
-    def visit(prev: int, num: int, den: int):
+    # one (children, num, den) per prefix whose children are being walked;
+    # while a level is open, prefix ends in the slot of its current child
+    stack: list[tuple[Iterator[int], int, int]] = []
+    m, num, den = 1, 0, 1  # m: the prefix's last entry (1 for the root)
+    while True:
         slots = k - len(prefix)
         side = num * b - a * den
         yield prefix, slots, side, num, den
@@ -164,20 +170,29 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
                 # every prime of the remainder's denominator divides b or a
                 # prefix entry, which keeps two_term_pairs' trial division short
                 g = math.gcd(side, b * den)
-                for pair in two_term_pairs(prev, -side // g, b * den // g):
+                for pair in two_term_pairs(m, -side // g, b * den // g):
                     prefix.extend(pair)
                     yield prefix, 0, 0, a, b
                     del prefix[-2:]
-                return
-            room = (c * den - num * d, d * den)
-            for m in position_range(prev, slots, room, (-side, b * den)):
-                prefix.append(m)
-                child_num, child_den = num * m + den, den * m
-                g = math.gcd(child_num, child_den)
-                yield from visit(m, child_num // g, child_den // g)
-                prefix.pop()
-
-    return visit(1, 0, 1)
+            else:
+                room = (c * den - num * d, d * den)
+                children = position_range(m, slots, room, (-side, b * den))
+                stack.append((iter(children), num, den))
+                prefix.append(0)
+        # on to the next child of the deepest open level; none left: done
+        while stack:
+            children, num, den = stack[-1]
+            m = next(children, 0)  # denominators are positive
+            if m:
+                break
+            stack.pop()
+            prefix.pop()
+        else:
+            return
+        prefix[-1] = m
+        num, den = num * m + den, den * m
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
 
 
 def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:

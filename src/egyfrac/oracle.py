@@ -82,6 +82,7 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
             "window_top": top,
         }
     )
+    top_num, top_den = top.numerator, top.denominator
     t0 = time.perf_counter()
     nodes = 0
     # cap k + 1 never binds: a child of a prefix P < bound <= k sums to at
@@ -90,7 +91,7 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
     for nodes, (prefix, slots, side, num, den) in enumerate(walk(k, bound, k + 1), 1):
         if nodes > budget:
             break
-        if num * top.denominator >= top.numerator * den:
+        if num * top_den >= top_num * den:
             continue  # at or past the window top; sums only grow
         if side > 0:
             claim = (
@@ -171,6 +172,10 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     bound = lcm_bound(delta, q)  # validates delta >= 0 and q
     target = k - delta
     report = VerificationReport({"k": k, "delta": delta, "q": q, "lcm_bound": bound})
+    # an lcm is an integer, so it exceeds the bound exactly when it exceeds
+    # the bound's floor, and meets the bound only when the bound is integral
+    floor_bound = bound.numerator // bound.denominator
+    integral = bound.denominator == 1
     t0 = time.perf_counter()
     maximizers: list[tuple[int, ...]] = []
     max_lcm = 0
@@ -185,7 +190,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         t = tuple(prefix)
         count += 1
         lcm_value = tuple_lcm(t)
-        if lcm_value > bound:
+        if lcm_value > floor_bound:
             report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
         if lcm_value % q == 0 and not _square_check(t, q, lcm_value):
             report.counterexamples.append(
@@ -195,7 +200,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
             max_lcm, maximizers = lcm_value, [t]
         elif lcm_value == max_lcm:
             maximizers.append(t)
-        if lcm_value == bound:
+        if integral and lcm_value == floor_bound:
             report.equality_witnesses.append(_witness(t, delta, q))
     report.details = {
         "class_size": count,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from egyfrac import __version__, cli
+from egyfrac.bounds import EqualityCase, EqualityFamily
 from egyfrac.cli import BUDGET_ENV_VAR, main
 from egyfrac.rationals import parse_rational
 
@@ -125,6 +126,59 @@ def test_extremal_absent(capsys):
                        "--delta", "1", "--q", "2", "--format", "csv")
     assert code == 0
     assert out == ""
+
+
+_DEEP_EXTREMAL = {
+    # kind: (denominators, sum, lcm, family) at k = 8, delta = 6
+    "gap": ("1 2 3 7 43 1807 3263443 10650056950807",
+            "226847426110843688722000883/113423713055421844361000442",
+            "113423713055421844361000442", "SYLVESTER_GAP"),
+    "lcm": ("1 2 3 7 43 1807 3263443 10650056950806", "2", "10650056950806",
+            "SYLVESTER_LCM"),
+}
+
+
+@pytest.mark.parametrize("kind", ["gap", "lcm"])
+def test_extremal_sums_its_tuple_twice(capsys, monkeypatch, kind):
+    # once in the constructor's assert, once in classify_equality; the
+    # reported sum is the value the classifier matched exactly
+    sums = []
+    real = cli.tuple_sum
+
+    def counted(t):
+        sums.append(1)
+        return real(t)
+
+    monkeypatch.setattr("egyfrac.bounds.tuple_sum", counted)
+    monkeypatch.setattr(cli, "tuple_sum", counted)
+    denominators, total, lcm, family = _DEEP_EXTREMAL[kind]
+    bound = total if kind == "gap" else lcm  # each tuple attains its bound
+    argv = ["extremal", "--kind", kind, "--k", "8", "--delta", "6"]
+    for fmt in ("text", "json", "csv"):
+        sums.clear()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert len(sums) == (2 if __debug__ else 1), fmt
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert list(result.items()) == [
+                ("kind", kind), ("bound", bound),
+                ("denominators", denominators.split()),
+                ("sum", total), ("lcm", lcm), ("family", family),
+            ]
+        else:
+            sep = "," if fmt == "csv" else " "
+            assert out == sep.join(denominators.split()) + "\n"
+
+
+def test_extremal_sums_an_unclassified_tuple(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "classify_equality",
+                        lambda t, delta, q: EqualityCase(EqualityFamily.NONE))
+    code, out, _ = run(capsys, "extremal", "--kind", "gap", "--k", "3",
+                       "--delta", "2", "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["sum"], result["family"]) == ("41/42", "NONE")
 
 
 def test_sylvester_table(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egyfrac import oracle
+from egyfrac import egyptian, oracle
 from egyfrac.bounds import (
     classify_equality,
     extremal_gap_tuple,
@@ -23,6 +23,7 @@ from egyfrac.egyptian import (
     position_range,
     tuple_lcm,
     tuple_sum,
+    two_term_pairs,
     walk,
 )
 from egyfrac.oracle import (
@@ -322,6 +323,46 @@ def _reference_walk(k: int, low: F, cap: F):
     return visit(1, 0, 1)
 
 
+def _reference_closing_walk(k: int, low: F, cap: F):
+    """egyptian.walk as it read before it became one loop over an explicit
+    stack, kept as the reference: one nested generator per prefix, with an
+    exact target's last two slots closed by divisors."""
+    a, b = low.numerator, low.denominator
+    c, d = cap.numerator, cap.denominator
+    close_at = 2 if (a, b) == (c, d) else 0
+    prefix: list[int] = []
+
+    def visit(prev: int, num: int, den: int):
+        slots = k - len(prefix)
+        side = num * b - a * den
+        yield prefix, slots, side, num, den
+        if side < 0 and slots:
+            if slots == close_at:
+                g = math.gcd(side, b * den)
+                for pair in two_term_pairs(prev, -side // g, b * den // g):
+                    prefix.extend(pair)
+                    yield prefix, 0, 0, a, b
+                    del prefix[-2:]
+                return
+            room = (c * den - num * d, d * den)
+            for m in position_range(prev, slots, room, (-side, b * den)):
+                prefix.append(m)
+                child_num, child_den = num * m + den, den * m
+                g = math.gcd(child_num, child_den)
+                yield from visit(m, child_num // g, child_den // g)
+                prefix.pop()
+
+    return visit(1, 0, 1)
+
+
+def _yields(walker, budget=None):
+    """A walk's yields, each prefix copied, the first budget of them if given."""
+    return [
+        (tuple(prefix), slots, side, num, den)
+        for prefix, slots, side, num, den in itertools.islice(walker, budget)
+    ]
+
+
 def _reference_class(k: int, target: F) -> list[tuple[int, ...]]:
     """The k-tuples summing to target, in the reference walk's order."""
     return [
@@ -401,6 +442,48 @@ def test_max_lcm_walker_matches_reference():
         _assert_lcm_matches_reference(*cell)
 
 
+def test_walk_matches_the_recursive_walk():
+    for k, delta, q in WALKER_CELLS:
+        bound = sharp_sum_bound(k, delta, q)
+        assert _yields(walk(k, bound, k + 1)) == _yields(
+            _reference_closing_walk(k, bound, k + 1)
+        ), (k, delta, q)
+    for k, delta, q in LCM_CELLS + CLASS_CELLS:
+        target = k - delta
+        assert _yields(walk(k, target, target)) == _yields(
+            _reference_closing_walk(k, target, target)
+        ), (k, delta, q)
+
+
+@pytest.mark.parametrize("k,low,cap", [
+    (4, sharp_sum_bound(4, 2, 1), 5),
+    (5, F(5, 2), F(5, 2)),
+])
+def test_walk_matches_the_recursive_walk_when_cut_short(k, low, cap):
+    for budget in range(1, 51):
+        assert _yields(walk(k, low, cap), budget) == _yields(
+            _reference_closing_walk(k, low, cap), budget
+        ), budget
+
+
+def test_walk_yields_the_root_before_any_child(monkeypatch):
+    # the frontier cell's walk takes seconds to finish; its first yield
+    # must not wait for any of it
+    calls = []
+    real = egyptian.position_range
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(egyptian, "position_range", counted)
+    bound = sharp_sum_bound(7, F(11, 2), 2)
+    prefix, slots, side, num, den = next(walk(7, bound, 8))
+    assert (prefix, slots, num, den) == ([], 7, 0, 1)
+    assert side < 0
+    assert calls == []
+
+
 def test_max_lcm_frontier_cell_finishes():
     # the reference walk meets 341 of the 270,332 members in its first
     # 2x10^6 nodes, 1,999,650 of which have one slot left; closing every
@@ -428,6 +511,21 @@ def test_max_lcm_walker_matches_reference_on_counterexamples(k, delta, q, monkey
     monkeypatch.setattr(oracle, "lcm_bound", halved)
     report = max_lcm_search(k, delta, q)
     assert report.counterexamples
+    _assert_lcm_matches_reference(k, delta, q)
+
+
+@pytest.mark.parametrize("shift", [F(1, 2), F(-1, 2)])
+@pytest.mark.parametrize("k,delta,q", [(3, F(2), 1), (5, F(5, 2), 2)])
+def test_max_lcm_bound_between_integers(k, delta, q, shift, monkeypatch):
+    # a bound moved off the integers leaves the extremal lcm just below it
+    # (no witness, no counterexample) or just above it (a counterexample)
+    def shifted(delta, q):
+        return lcm_bound(delta, q) + shift
+
+    monkeypatch.setattr(oracle, "lcm_bound", shifted)
+    report = max_lcm_search(k, delta, q)
+    assert report.equality_witnesses == []
+    assert bool(report.counterexamples) == (shift < 0)
     _assert_lcm_matches_reference(k, delta, q)
 
 
