@@ -133,13 +133,14 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     """Which exact equality family, if any, a tuple belongs to.
 
     Membership is structural: the tuple must reproduce the extremal pattern
-    for its deficiency, not merely match a bound numerically. Tuples summing
-    to exactly k - delta are tested against the lcm families; tuples at the
-    sharp sum bound against the gap families; anything else is NONE.
-
-    The tuple is summed once. Having matched a bound's value, it is compared
-    with the extremal pattern directly, without the constructors, whose
-    asserts would sum it again (and, for lcm, take its lcm).
+    for its deficiency, and matching the pattern settles its sum. By the
+    Sylvester identity sum_{i<=p} 1/(1 + u(i, q)) = 1/q - 1/u(p+1, q), the
+    lcm pattern (closed by u(s, q)/r) sums to exactly k - delta and the gap
+    pattern (closed by (1 + u(s, q))/r) to the sharp sum bound
+    k - delta - r/u(s+1, q). So the tuple is never summed: it is compared
+    with the lcm pattern (delta >= 0 only), then with the gap pattern, and
+    is NONE if it matches neither. The gap pattern's sum lies below
+    k - delta by a positive gap, so no tuple is in both families.
 
     Gap families by delta range: NEGATIVE_DELTA (all ones), FRACTIONAL_DELTA
     (0 <= delta < 1, single tail term (1+q)/r), SYLVESTER_GAP (delta >= 1).
@@ -151,16 +152,13 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     k = len(t)
     if k == 0:
         return EqualityCase(EqualityFamily.NONE)
-    total = tuple_sum(t)
 
-    if total == k - delta:
-        if delta >= 0 and t == _pattern(k, d, 0):
-            if d.s == 2 and d.r > 1:
-                return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
-            return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
-        return EqualityCase(EqualityFamily.NONE)
+    if delta >= 0 and t == _pattern(k, d, 0):
+        if d.s == 2 and d.r > 1:
+            return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
+        return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
 
-    if total == sharp_sum_bound(k, delta, q) and t == _pattern(k, d, 1):
+    if t == _pattern(k, d, 1):
         if delta < 0:
             return EqualityCase(EqualityFamily.NEGATIVE_DELTA, t)
         if delta < 1:

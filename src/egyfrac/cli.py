@@ -210,8 +210,8 @@ def cmd_extremal(args) -> int:
         _emit(args, inputs, result, ["absent"], rows=[])
         return 0
     family = classify_equality(t, args.delta, q).tag
-    # a family is matched only on an exact sum: k - delta for the lcm
-    # families, the sharp sum bound for the gap families
+    # a family is matched by its pattern, whose sum is fixed: k - delta for
+    # the lcm families, the sharp sum bound for the gap families
     if family is EqualityFamily.NONE:
         total = tuple_sum(t)
     elif family in (EqualityFamily.SYLVESTER_LCM, EqualityFamily.TWO_TERM_LCM):
@@ -244,7 +244,11 @@ def cmd_sylvester(args) -> int:
 def cmd_oracle(args) -> int:
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+        raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
     report = sweep(SweepConfig(k_max=args.k_max, deltas=args.delta_list,
                                q_mode=args.q_mode, budget=budget))
     inputs = {

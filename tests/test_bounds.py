@@ -330,8 +330,9 @@ def _reference_lcm_tuple(k, delta, q):
 
 
 def _reference_classify(t, delta, q):
-    """classify_equality as it read when it called the public constructors,
-    which re-sum (and, for lcm, re-take the lcm of) the tuple it has summed."""
+    """classify_equality as it read when it summed the tuple and then called
+    the public constructors, which re-sum (and, for lcm, re-take the lcm of)
+    the tuple it has summed."""
     t = as_tuple(t)
     delta = Fraction(delta)
     d = srq_decompose(delta, q)
@@ -420,6 +421,62 @@ def test_classify_matches_the_reference_on_deep_cells():
             assert new == _outcome(_reference_classify, u, delta, q)
 
 
+def _all_extremal_cases():
+    # GRID adds the thirds, where TWO_TERM_LCM occurs (delta = 4/3, q = 3)
+    yield from _extremal_cases(GRID + HALF_GRID, lambda s: range(1, 9))
+    yield from _extremal_cases(DEEP_CELLS, lambda s: (s, s + 2))
+
+
+def _claimed_sum(tag, k, delta, q):
+    """The reciprocal sum a family's pattern has by the Sylvester identity."""
+    if tag in (EqualityFamily.SYLVESTER_LCM, EqualityFamily.TWO_TERM_LCM):
+        return k - delta
+    return sharp_sum_bound(k, delta, q)
+
+
+def test_every_tagged_tuple_sums_to_its_familys_value():
+    # classify_equality matches by structure and never sums; this checks
+    # the sum each tag stands for
+    tagged = set()
+    for _, k, delta, q, t in _all_extremal_cases():
+        for u in _with_neighbours(t):
+            tag, witness = _outcome(classify_equality, u, delta, q)
+            if tag in ("ValueError", EqualityFamily.NONE):
+                continue
+            assert witness == u
+            assert tuple_sum(u) == _claimed_sum(tag, k, delta, q), (u, delta, q)
+            tagged.add(tag)
+    assert tagged == set(EqualityFamily) - {EqualityFamily.NONE}
+
+
+def test_no_tuple_is_in_both_families():
+    # the two patterns differ in their closing entry, u(s, q)/r against
+    # (1 + u(s, q))/r, so the order in which classify_equality tries them
+    # cannot change a tag
+    for delta, q in GRID + HALF_GRID:
+        if delta < 0:
+            continue
+        for k in range(1, 9):
+            lcm_t = extremal_lcm_tuple(k, delta, q)
+            assert lcm_t is None or lcm_t != extremal_gap_tuple(k, delta, q)
+
+
+def _shifted_cells(delta, q):
+    """Cells next to (delta, q): one step of 1/q either way, and q doubled."""
+    step = Fraction(1, q)
+    yield delta + step, q
+    if delta - step >= -1:
+        yield delta - step, q
+    yield delta, 2 * q
+
+
+def test_classify_matches_the_reference_on_shifted_cells():
+    for _, _, delta, q, t in _all_extremal_cases():
+        for delta2, q2 in _shifted_cells(delta, q):
+            new = _outcome(classify_equality, t, delta2, q2)
+            assert new == _outcome(_reference_classify, t, delta2, q2), (t, delta2, q2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     t=st.lists(st.integers(0, 50), max_size=6),
@@ -451,13 +508,13 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("delta, q", DEEP_CELLS)
 @pytest.mark.parametrize("kind", ["gap", "lcm"])
-def test_classify_sums_a_deep_extremal_tuple_once(monkeypatch, kind, delta, q):
+def test_classify_never_sums_a_deep_extremal_tuple(monkeypatch, kind, delta, q):
     make = extremal_gap_tuple if kind == "gap" else extremal_lcm_tuple
     t = make(srq_decompose(delta, q).s + 1, delta, q)
     sums = _counting(monkeypatch, "tuple_sum")
     lcms = _counting(monkeypatch, "tuple_lcm")
     assert classify_equality(t, delta, q).witness == t
-    assert (len(sums), len(lcms)) == (1, 0)
+    assert (len(sums), len(lcms)) == (0, 0)
 
 
 def test_constructors_still_assert_the_bounds(monkeypatch):
