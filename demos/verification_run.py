@@ -12,7 +12,6 @@ import json
 from fractions import Fraction
 
 from egyfrac import (
-    SweepConfig,
     max_lcm_search,
     report_to_dict,
     sweep,
@@ -37,8 +36,7 @@ print("  max lcm:", report.details["max_lcm"], "maximizers:", report.details["ma
 print()
 
 # a grid: every delta from -1 to 2 in halves, canonical q, k up to 4
-config = SweepConfig(k_max=4, deltas=tuple(Fraction(j, 2) for j in range(-2, 5)))
-report = sweep(config)
+report = sweep(k_max=4, deltas=tuple(Fraction(j, 2) for j in range(-2, 5)))
 print(f"sweep over {report.parameters['cells']} cells: passed={report.passed}, "
       f"{report.stats.nodes} nodes, {len(report.equality_witnesses)} equality witnesses")
 

@@ -53,7 +53,6 @@ from .majorization import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    SweepConfig,
     lcm_square_check,
     max_lcm_search,
     sweep,
@@ -97,7 +96,6 @@ __all__ = [
     "SRQ",
     "SearchStats",
     "StandardCoefficient",
-    "SweepConfig",
     "SylvesterTable",
     "VerificationReport",
     "as_tuple",

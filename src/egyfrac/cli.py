@@ -8,8 +8,7 @@ any other format is a usage error (exit 1). JSON output is an envelope
 mathematical integers as decimal strings, since the values outgrow 64 bits.
 
 Exit codes: 0 success, 1 usage or domain error, 2 verification failure
-(counterexample found or node budget exhausted). The oracle node budget can
-be set with --budget or the EGYFRAC_ORACLE_BUDGET environment variable.
+(counterexample found or node budget exhausted).
 """
 
 from __future__ import annotations
@@ -44,12 +43,10 @@ from .geometry import (
     refined_index_bound,
     volume,
 )
-from .oracle import DEFAULT_BUDGET, SweepConfig, sweep
+from .oracle import DEFAULT_BUDGET, sweep
 from .rationals import canonical_q, parse_rational, rational_str
 from .report import report_to_dict
 from .sylvester import sylvester_u
-
-BUDGET_ENV_VAR = "EGYFRAC_ORACLE_BUDGET"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,20 +239,12 @@ def cmd_sylvester(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    budget = args.budget
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    report = sweep(SweepConfig(k_max=args.k_max, deltas=args.delta_list,
-                               q_mode=args.q_mode, budget=budget))
+    report = sweep(args.k_max, args.delta_list, args.q_mode, args.budget)
     inputs = {
         "k_max": args.k_max,
         "delta_list": [rational_str(d) for d in args.delta_list],
         "q_mode": args.q_mode,
-        "budget": budget,
+        "budget": args.budget,
     }
     lines = [
         f"passed = {str(report.passed).lower()}",
@@ -361,8 +350,8 @@ def build_parser() -> _Parser:
     p.add_argument("--delta-list", type=_rational_list, required=True, dest="delta_list")
     p.add_argument("--q-mode", default="canonical", dest="q_mode",
                    help="'canonical' or 'all-upto:N'")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"node budget (env {BUDGET_ENV_VAR}, default {DEFAULT_BUDGET})")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"node budget (default {DEFAULT_BUDGET})")
 
     p = add("geometry", cmd_geometry, "volume, clearing index, and bounds for a log structure")
     p.add_argument("--dim", type=int, required=True)

@@ -106,32 +106,36 @@ def product_dominance_conclusion(x, y) -> bool:
 # move strictly shrinks the compared aggregate, so y == x exactly when no
 # move fired, which keeps the equality branch reachable.
 
+# x has 1.._MAX_LEN entries, each at most _MAX_VALUE
+_MAX_LEN = 8
+_MAX_VALUE = 10
 _RATIO_CHOICES = tuple(
     Fraction(a, b) for a, b in [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (5, 3), (7, 4)]
 )
 
 
-def _random_nonincreasing(rng: random.Random, n: int, max_value: int) -> list[Fraction]:
+def _random_nonincreasing(rng: random.Random, n: int) -> list[Fraction]:
     vals = []
     for _ in range(n):
-        v = Fraction(rng.randint(1, 4 * max_value), rng.randint(1, 4))
-        vals.append(min(v, Fraction(max_value)))
+        v = Fraction(rng.randint(1, 4 * _MAX_VALUE), rng.randint(1, 4))
+        vals.append(min(v, Fraction(_MAX_VALUE)))
     vals.sort(reverse=True)
     return vals
 
 
 def random_prefix_dominated_pair(
-    rng: random.Random, max_len: int = 8, max_value: int = 10
+    rng: random.Random,
 ) -> tuple[PositiveSequence, PositiveSequence]:
     """A pair (x, y) with x prefix-product dominating y, built constructively.
 
-    y starts as a copy of x; each move divides y[l-1] by t and multiplies
-    y[l] by t for some t > 1 with t*t <= y[l-1]/y[l], which scales one prefix
-    product down and leaves the rest alone. An optional global shrink scales
-    every prefix product by a power of a factor <= 1.
+    x has 1 to 8 entries, each a positive rational at most 10. y starts as
+    a copy of x; each move divides y[l-1] by t and multiplies y[l] by t for
+    some t > 1 with t*t <= y[l-1]/y[l], which scales one prefix product down
+    and leaves the rest alone. An optional global shrink scales every prefix
+    product by a power of a factor <= 1.
     """
-    n = rng.randint(1, max_len)
-    x = _random_nonincreasing(rng, n, max_value)
+    n = rng.randint(1, _MAX_LEN)
+    x = _random_nonincreasing(rng, n)
     y = list(x)
     if n >= 2:
         for _ in range(rng.randint(0, 3)):
@@ -150,22 +154,23 @@ def random_prefix_dominated_pair(
 
 
 def random_suffix_dominated_pair(
-    rng: random.Random, max_len: int = 8, max_value: int = 10
+    rng: random.Random,
 ) -> tuple[PositiveSequence, PositiveSequence]:
     """A pair (x, y) with x suffix-sum dominating y, built constructively.
 
-    y starts as a copy of x; moves either shift mass from a later entry to an
-    earlier one (suffix sums in between drop) or shave an entry down, always
-    within the nonincreasing and positivity constraints.
+    x has 1 to 8 entries, each a positive rational at most 10. y starts as
+    a copy of x; moves either shift mass from a later entry to an earlier one
+    (suffix sums in between drop) or shave an entry down, always within the
+    nonincreasing, positivity and at-most-10 constraints.
     """
-    n = rng.randint(1, max_len)
-    x = _random_nonincreasing(rng, n, max_value)
+    n = rng.randint(1, _MAX_LEN)
+    x = _random_nonincreasing(rng, n)
     y = list(x)
     for _ in range(rng.randint(0, 3)):
         if rng.random() < 0.5 and n >= 2:
             j2 = rng.randrange(1, n)
             j1 = rng.randrange(0, j2)
-            room_up = (y[j1 - 1] - y[j1]) if j1 else Fraction(max_value) - y[0]
+            room_up = (y[j1 - 1] - y[j1]) if j1 else _MAX_VALUE - y[0]
             room_down = y[j2] - (y[j2 + 1] if j2 + 1 < n else Fraction(0))
             eps_max = min(room_up, room_down)
             if eps_max <= 0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import (
@@ -210,21 +209,6 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     return _finish(report, nodes, t0, nodes > budget)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid for sweep: k = 1..k_max crossed with every delta and its q set.
-
-    q_mode is either 'canonical' (the reduced denominator of delta) or
-    'all-upto:N' (every multiple of the canonical q up to N; an N below
-    some delta's canonical q is an error, not a skipped delta).
-    """
-
-    k_max: int
-    deltas: tuple
-    q_mode: str = "canonical"
-    budget: int = DEFAULT_BUDGET
-
-
 def _qs_for(delta: Fraction, q_mode: str) -> list[int]:
     base = canonical_q(delta)
     if q_mode == "canonical":
@@ -243,27 +227,33 @@ def _qs_for(delta: Fraction, q_mode: str) -> list[int]:
     raise ValueError(f"unknown q mode: {q_mode!r}")
 
 
-def sweep(config: SweepConfig) -> VerificationReport:
+def sweep(k_max: int, deltas, q_mode: str = "canonical",
+          budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run window and lcm searches over the grid and cross-check every
     equality witness list against the extremal constructors.
 
+    The grid is k = 1..k_max crossed with every delta and its q set.
+    q_mode is either 'canonical' (the reduced denominator of delta) or
+    'all-upto:N' (every multiple of the canonical q up to N; an N below
+    some delta's canonical q is an error, not a skipped delta).
+
     The report aggregates all counterexamples and witnesses; the searches
-    share config.budget, counted in walker nodes, and the sweep stops at the
+    share budget, counted in walker nodes, and the sweep stops at the
     search that runs out of it. An empty grid passes with zero stats.
     """
-    if config.k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {config.k_max}")
-    if config.budget < 1:
-        raise ValueError(f"budget must be positive, got {config.budget}")
-    deltas = tuple(Fraction(d) for d in config.deltas)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+    deltas = tuple(Fraction(d) for d in deltas)
     for d in deltas:
         if d < -1:
             raise ValueError(f"delta must be >= -1, got {d}")
     cells = [
         (delta, q, k)
         for delta in deltas
-        for q in _qs_for(delta, config.q_mode)
-        for k in range(1, config.k_max + 1)
+        for q in _qs_for(delta, q_mode)
+        for k in range(1, k_max + 1)
     ]
     gap = (window_search, extremal_gap_tuple, "gap")
     lcm = (max_lcm_search, extremal_lcm_tuple, "lcm")
@@ -275,10 +265,10 @@ def sweep(config: SweepConfig) -> VerificationReport:
 
     report = VerificationReport(
         {
-            "k_max": config.k_max,
+            "k_max": k_max,
             "deltas": list(deltas),
-            "q_mode": config.q_mode,
-            "budget": config.budget,
+            "q_mode": q_mode,
+            "budget": budget,
             "cells": len(cells),
         }
     )
@@ -288,10 +278,10 @@ def sweep(config: SweepConfig) -> VerificationReport:
     # a remaining budget of 0 is no valid search budget, so the flag is
     # raised before the next search rather than derived from nodes
     for k, delta, q, (search, extremal, kind) in checks:
-        exceeded = nodes >= config.budget
+        exceeded = nodes >= budget
         if exceeded:
             break
-        cell = search(k, delta, q, budget=config.budget - nodes)
+        cell = search(k, delta, q, budget=budget - nodes)
         nodes += cell.stats.nodes
         report.counterexamples.extend(cell.counterexamples)
         report.equality_witnesses.extend(cell.equality_witnesses)

@@ -12,7 +12,7 @@ import pytest
 
 from egyfrac import __version__, cli
 from egyfrac.bounds import EqualityCase, EqualityFamily
-from egyfrac.cli import BUDGET_ENV_VAR, main
+from egyfrac.cli import main
 from egyfrac.rationals import parse_rational
 
 
@@ -283,8 +283,7 @@ CSV_COMMANDS = {"greedy", "split", "enumerate", "extremal"}
     (["geometry", "--dim", "1", "--coeffs", "m:2,m:3,m:7,one"],
      {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": None, "q": None}),
 ])
-def test_json_inputs_and_csv_offer(capsys, monkeypatch, argv, inputs):
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+def test_json_inputs_and_csv_offer(capsys, argv, inputs):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert list(json.loads(out)["inputs"].items()) == list(inputs.items())  # order too
@@ -313,29 +312,35 @@ def test_oracle_budget_flag_exit_2(capsys):
     assert "budget_exceeded = true" in out
 
 
-def test_oracle_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "5")
-    code, _, _ = run(capsys, "oracle", "--k-max", "4", "--delta-list", "2")
-    assert code == 2
-    # explicit flag wins over the environment
-    code, _, _ = run(capsys, "oracle", "--k-max", "4", "--delta-list", "2",
-                     "--budget", "100000")
+def test_oracle_ignores_the_environment(capsys, monkeypatch):
+    # the budget comes from argv alone, so a budget-like variable in the
+    # environment leaves the README grid's default-budget run unchanged
+    monkeypatch.setenv("EGYFRAC_ORACLE_BUDGET", "5")
+    code, out, _ = run(capsys, "oracle", "--k-max", "3", "--delta-list", "-1,0,1/2,1")
     assert code == 0
-    monkeypatch.setenv(BUDGET_ENV_VAR, "not-a-number")
-    code, _, err = run(capsys, "oracle", "--k-max", "2", "--delta-list", "0")
-    assert code == 1
-    assert err.startswith("egyfrac: error:")
+    assert "nodes = 68" in out.splitlines()
 
 
-def test_oracle_names_a_bad_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "abc")
-    code, out, err = run(capsys, "oracle", "--k-max", "2", "--delta-list", "1")
-    assert (code, out) == (1, "")
-    assert err == f"egyfrac: error: {BUDGET_ENV_VAR} must be an integer, got 'abc'\n"
-    # --budget still wins, so the bad value is never read
-    code, _, err = run(capsys, "oracle", "--k-max", "2", "--delta-list", "1",
-                       "--budget", "100000")
-    assert (code, err) == (0, "")
+def test_oracle_prints_each_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr("egyfrac.oracle.classify_equality",
+                        lambda t, delta, q: EqualityCase(EqualityFamily.NONE))
+    argv = ["oracle", "--k-max", "3", "--delta-list", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-2:] == [
+        f"counterexample: {kind} equality witness left unclassified values=[2, 3, {m}] "
+        "delta=2 q=1"
+        for kind, m in (("gap", 7), ("lcm", 6))
+    ]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (2, "")
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    assert result["counterexamples"] == [
+        {"claim": f"{kind} equality witness left unclassified",
+         "values": values, "delta": "2", "q": 1}
+        for kind, values in (("gap", ["2", "3", "7"]), ("lcm", ["2", "3", "6"]))
+    ]
 
 
 def test_oracle_rejects_delta_left_without_q(capsys):
@@ -495,9 +500,7 @@ ORDER_ARGVS = [
 ]
 
 
-def test_outputs_do_not_depend_on_call_order(capsys, monkeypatch, fresh_parser):
-    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-
+def test_outputs_do_not_depend_on_call_order(capsys, fresh_parser):
     def outcome(argv):
         code = main(list(argv))
         out, err = capsys.readouterr()

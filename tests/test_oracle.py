@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from egyfrac import egyptian, oracle
 from egyfrac.bounds import (
+    EqualityCase,
+    EqualityFamily,
     classify_equality,
     extremal_gap_tuple,
     gap_amount,
@@ -27,7 +29,6 @@ from egyfrac.egyptian import (
     walk,
 )
 from egyfrac.oracle import (
-    SweepConfig,
     lcm_square_check,
     max_lcm_search,
     sweep,
@@ -207,6 +208,17 @@ def test_window_walker_matches_reference_on_counterexamples(k, delta, q, monkeyp
     report = window_search(k, delta, q)
     assert report.counterexamples
     _assert_matches_reference(k, delta, q)
+
+
+def test_window_names_each_prefix_counterexample(monkeypatch):
+    # under a floor of 1/3 the prefix (2,) lies inside the window (1/3, 1)
+    # and (3,) sits on its floor, each with two slots still open
+    monkeypatch.setattr(oracle, "sharp_sum_bound", lambda k, delta, q: F(1, 3))
+    report = window_search(3, 2, 1)
+    assert report.counterexamples[:2] == [
+        Counterexample("prefix completable into forbidden window", (2,), F(2), 1),
+        Counterexample("boundary prefix completable into forbidden window", (3,), F(2), 1),
+    ]
 
 
 def test_window_rejects_bad_input():
@@ -613,10 +625,7 @@ def test_max_lcm_search_takes_one_lcm_per_member(monkeypatch):
     assert len(lcms) == report.details["class_size"] > 0
 
 def test_sweep_frozen_grid():
-    config = SweepConfig(
-        k_max=4, deltas=(F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2))
-    )
-    report = sweep(config)
+    report = sweep(k_max=4, deltas=(F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2)))
     assert report.passed
     assert report.counterexamples == []
     assert not report.budget_exceeded
@@ -634,14 +643,14 @@ def test_sweep_frozen_grid():
 
 
 def test_sweep_wider_q_grid():
-    report = sweep(SweepConfig(k_max=3, deltas=(F(1, 2),), q_mode="all-upto:6"))
+    report = sweep(k_max=3, deltas=(F(1, 2),), q_mode="all-upto:6")
     assert report.passed
     qs = {w.q for w in report.equality_witnesses}
     assert qs <= {2, 4, 6}
 
 
 def test_sweep_empty_grid_is_vacuous():
-    report = sweep(SweepConfig(k_max=0, deltas=()))
+    report = sweep(k_max=0, deltas=())
     assert report.passed
     assert report.parameters["cells"] == 0
     assert report.stats.nodes == 0
@@ -649,24 +658,48 @@ def test_sweep_empty_grid_is_vacuous():
 
 
 def test_sweep_budget_exhaustion():
-    report = sweep(SweepConfig(k_max=4, deltas=(F(2),), budget=5))
+    report = sweep(k_max=4, deltas=(F(2),), budget=5)
     assert not report.passed
     assert report.budget_exceeded
 
 
 def test_sweep_rejects_bad_config():
     with pytest.raises(ValueError):
-        sweep(SweepConfig(k_max=-1, deltas=()))
+        sweep(k_max=-1, deltas=())
     with pytest.raises(ValueError):
-        sweep(SweepConfig(k_max=2, deltas=(F(-3, 2),)))
+        sweep(k_max=2, deltas=(F(-3, 2),))
     with pytest.raises(ValueError):
-        sweep(SweepConfig(k_max=2, deltas=(F(0),), q_mode="weird"))
+        sweep(k_max=2, deltas=(F(0),), q_mode="weird")
     with pytest.raises(ValueError):
-        sweep(SweepConfig(k_max=2, deltas=(F(0),), q_mode="all-upto:x"))
+        sweep(k_max=2, deltas=(F(0),), q_mode="all-upto:x")
     with pytest.raises(ValueError):
-        sweep(SweepConfig(k_max=2, deltas=(F(1), F(1, 2)), q_mode="all-upto:1"))
+        sweep(k_max=2, deltas=(F(1), F(1, 2)), q_mode="all-upto:1")
     with pytest.raises(ValueError):
-        sweep(SweepConfig(k_max=2, deltas=(F(0),), budget=0))
+        sweep(k_max=2, deltas=(F(0),), budget=0)
+
+
+def test_sweep_reports_witnesses_off_the_extremal_tuple(monkeypatch):
+    real = oracle.extremal_gap_tuple
+    monkeypatch.setattr(oracle, "extremal_gap_tuple",
+                        lambda k, delta, q: (2, 3, 8) if k == 3 else real(k, delta, q))
+    report = sweep(k_max=3, deltas=(F(2),))
+    assert report.passed is False
+    assert not report.budget_exceeded
+    assert report.counterexamples == [
+        Counterexample("gap equality witnesses [(2, 3, 7)] do not match "
+                       "extremal construction [(2, 3, 8)]", (2, 3, 7), F(2), 1),
+    ]
+
+
+def test_sweep_reports_unclassified_witnesses(monkeypatch):
+    monkeypatch.setattr(oracle, "classify_equality",
+                        lambda t, delta, q: EqualityCase(EqualityFamily.NONE))
+    report = sweep(k_max=3, deltas=(F(2),))
+    assert report.passed is False
+    assert report.counterexamples == [
+        Counterexample("gap equality witness left unclassified", (2, 3, 7), F(2), 1),
+        Counterexample("lcm equality witness left unclassified", (2, 3, 6), F(2), 1),
+    ]
 
 
 def _report_json(report) -> str:
@@ -730,7 +763,7 @@ README_DELTAS = (F(-1), F(0), F(1, 2), F(1))
         "stats": {"nodes": 7},
         "details": {"class_size": 3, "max_lcm": "6", "maximizers": [["2", "3", "6"]]},
     }),
-    (lambda: sweep(SweepConfig(k_max=3, deltas=README_DELTAS)), {
+    (lambda: sweep(k_max=3, deltas=README_DELTAS), {
         "passed": True,
         "parameters": {"k_max": 3, "deltas": ["-1", "0", "1/2", "1"],
                        "q_mode": "canonical", "budget": 100000000, "cells": 12},
@@ -739,7 +772,7 @@ README_DELTAS = (F(-1), F(0), F(1, 2), F(1))
         "stats": {"nodes": 68},
     }),
     # a sweep that spends its budget exactly stops before the next search
-    (lambda: sweep(SweepConfig(k_max=3, deltas=README_DELTAS, budget=5)), {
+    (lambda: sweep(k_max=3, deltas=README_DELTAS, budget=5), {
         "passed": False,
         "parameters": {"k_max": 3, "deltas": ["-1", "0", "1/2", "1"],
                        "q_mode": "canonical", "budget": 5, "cells": 12},
