@@ -106,7 +106,6 @@ def product_dominance_conclusion(x, y) -> bool:
 # move strictly shrinks the compared aggregate, so y == x exactly when no
 # move fired, which keeps the equality branch reachable.
 
-# x has 1.._MAX_LEN entries, each at most _MAX_VALUE
 _MAX_LEN = 8
 _MAX_VALUE = 10
 _RATIO_CHOICES = tuple(
@@ -128,10 +127,10 @@ def random_prefix_dominated_pair(
 ) -> tuple[PositiveSequence, PositiveSequence]:
     """A pair (x, y) with x prefix-product dominating y, built constructively.
 
-    x has 1 to 8 entries, each a positive rational at most 10. y starts as
-    a copy of x; each move divides y[l-1] by t and multiplies y[l] by t for
-    some t > 1 with t*t <= y[l-1]/y[l], which scales one prefix product down
-    and leaves the rest alone. An optional global shrink scales every prefix
+    x has 1 to _MAX_LEN entries, each a positive rational at most
+    _MAX_VALUE. y starts as a copy of x; each move divides y[l-1] by t and
+    multiplies y[l] by t for some t > 1 with t*t <= y[l-1]/y[l], which
+    scales one prefix product down and leaves the rest alone. An optional global shrink scales every prefix
     product by a power of a factor <= 1.
     """
     n = rng.randint(1, _MAX_LEN)
@@ -158,10 +157,11 @@ def random_suffix_dominated_pair(
 ) -> tuple[PositiveSequence, PositiveSequence]:
     """A pair (x, y) with x suffix-sum dominating y, built constructively.
 
-    x has 1 to 8 entries, each a positive rational at most 10. y starts as
-    a copy of x; moves either shift mass from a later entry to an earlier one
-    (suffix sums in between drop) or shave an entry down, always within the
-    nonincreasing, positivity and at-most-10 constraints.
+    x has 1 to _MAX_LEN entries, each a positive rational at most
+    _MAX_VALUE. y starts as a copy of x; moves either shift mass from a
+    later entry to an earlier one (suffix sums in between drop) or shave an
+    entry down, always within the nonincreasing, positivity and
+    at-most-_MAX_VALUE constraints.
     """
     n = rng.randint(1, _MAX_LEN)
     x = _random_nonincreasing(rng, n)
@@ -170,7 +170,7 @@ def random_suffix_dominated_pair(
         if rng.random() < 0.5 and n >= 2:
             j2 = rng.randrange(1, n)
             j1 = rng.randrange(0, j2)
-            room_up = (y[j1 - 1] - y[j1]) if j1 else _MAX_VALUE - y[0]
+            room_up = (y[j1 - 1] - y[j1]) if j1 else Fraction(_MAX_VALUE) - y[0]
             room_down = y[j2] - (y[j2 + 1] if j2 + 1 < n else Fraction(0))
             eps_max = min(room_up, room_down)
             if eps_max <= 0:

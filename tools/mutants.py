@@ -6,11 +6,11 @@ replaced (pytest node ids; an id without parameters stands for all of its
 parametrized cases, and one failing case is enough). The script copies
 src/, tests/, README.md and pyproject.toml into a temporary directory, runs
 every named test there once unmutated (all must pass), then applies each
-mutant alone and runs its tests. It exits 1 if a mutant no longer applies
-or survives any of its tests.
+mutant alone and runs its tests. It exits 1 if a mutant no longer applies,
+survives any of its tests, or stops pytest from running them (a
+collection error, say); in that last case it prints pytest's output.
 
-    python tools/mutants.py                       # every mutant
-    python tools/mutants.py walk-level-pop ...    # the named ones
+    python tools/mutants.py
 """
 
 from __future__ import annotations
@@ -176,12 +176,7 @@ def _survivors(tests, output: str) -> list[str]:
             if not any(f == t or f.startswith(t + "[") for f in failed)]
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 1
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
@@ -192,13 +187,13 @@ def main(argv: list[str]) -> int:
                                 ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             else:
                 shutil.copy2(src, copy / name)
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         code, output = _run(copy, tests)
         if code != 0:
             print(output)
             print("unmutated copy fails the named tests", file=sys.stderr)
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             target = copy / m.path
             original = target.read_text()
             if original.count(m.old) != 1:
@@ -209,18 +204,24 @@ def main(argv: list[str]) -> int:
             t0 = time.perf_counter()
             try:
                 code, output = _run(copy, m.tests)
-                survived = _survivors(m.tests, output) if code == 1 else list(m.tests)
             except subprocess.TimeoutExpired:
-                survived = [f"(timed out after {TIMEOUT_S} s)"]
+                code, output = None, ""
             finally:
                 target.write_text(original)
             seconds = time.perf_counter() - t0
-            verdict = "killed" if not survived else f"SURVIVED {survived}"
+            if code is None:
+                verdict = f"TIMED OUT after {TIMEOUT_S} s"
+            elif code in (0, 1):
+                survived = _survivors(m.tests, output)
+                verdict = f"SURVIVED {survived}" if survived else "killed"
+            else:
+                print(output)
+                verdict = f"STOPPED THE TEST RUN (pytest exit {code})"
             print(f"{m.name}: {verdict} ({seconds:.1f} s)", flush=True)
-            bad += bool(survived)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+            bad += verdict != "killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
