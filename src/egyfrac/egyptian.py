@@ -101,16 +101,34 @@ def _prime_factors(n: int) -> dict[int, int]:
     return factors
 
 
+# the most candidates a that two_term_pairs scans one by one; a wider range
+# is closed from the divisors of q^2, whose trial division costs about
+# sqrt(q)/2 steps however wide the range (on the lcm grid of the benchmark,
+# limits from 128 to 512 time alike)
+SCAN_LIMIT = 256
+
+
 def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
     """Every pair prev <= a <= b with 1/a + 1/b == p/q, in increasing a.
 
-    p/q > 0 must be reduced. The equation is (pa - q)(pb - q) = q^2, so a
-    pair is a divisor x = pa - q <= q of q^2 with x = -q (mod p); then
+    p/q > 0 must be reduced. Then q/p < a <= 2q/p, and b = qa/(pa - q)
+    must be whole. When the candidates a from max(prev, q//p + 1) to 2q//p
+    number at most SCAN_LIMIT, they are scanned directly. More are closed
+    by divisors: the equation is (pa - q)(pb - q) = q^2, so a pair is a
+    divisor x = pa - q <= q of q^2 with x = -q (mod p); then
     q^2/x = -q (mod p) as well, since p is coprime to q, and b is whole.
 
     >>> two_term_pairs(1, 1, 2)
     [(3, 6), (4, 4)]
     """
+    lo = max(prev, q // p + 1)
+    hi = 2 * q // p
+    if hi - lo < SCAN_LIMIT:
+        return [
+            (a, q * a // (p * a - q))
+            for a in range(lo, hi + 1)
+            if q * a % (p * a - q) == 0
+        ]
     divisors = [1]  # the divisors of q^2 up to q, kept sorted
     for prime, e in _prime_factors(q).items():
         grown = divisors[:]
@@ -142,11 +160,13 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     low - sum; cap >= low. The yielded list is reused: copy it to keep it.
 
     An exact target (cap == low) closes every prefix below it with two
-    slots left by two_term_pairs: its children and grandchildren are not
-    visited, and each completing pair is yielded as a leaf (slots 0, side
-    0). So an exact walk yields its prefixes with two or more slots plus
-    the closed pairs (for k = 1, the root and its one leaf, if any); every
-    k-term tuple summing to low is still yielded once, in the same order.
+    slots left by two_term_pairs, which scans a narrow range of candidates
+    for the next entry and takes a wide one from divisors: the prefix's
+    children and grandchildren are not visited, and each completing pair
+    is yielded as a leaf (slots 0, side 0). So an exact walk yields its
+    prefixes with two or more slots plus the closed pairs (for k = 1, the
+    root and its one leaf, if any); every k-term tuple summing to low is
+    still yielded once, in the same order.
 
     The walk is one loop over an explicit stack, without recursion: each
     yield costs the same at every depth.
@@ -199,7 +219,7 @@ def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
     """Yield every k-term representation of x, in lexicographic order.
 
     The target is exact, so walk closes the last two terms of each prefix
-    by divisors (two_term_pairs) instead of looping over them.
+    in one call of two_term_pairs instead of looping over them.
     """
     x = Fraction(x)
     if x < 0:

@@ -11,9 +11,14 @@ Both searches iterate egyptian.walk, in lexicographic order, and count
 every prefix it yields as one node against their budget; running out of
 budget is reported as its own failure mode, never as a counterexample.
 The lcm class has an exact target, so walk closes each prefix with two
-slots left by divisors: there a node is a prefix with two or more slots
-left or a closed pair. The window's open interval has no divisor form, so
-its walk visits, and counts, every prefix down to the last slot.
+slots left in one step (egyptian.two_term_pairs: a direct scan of at most
+SCAN_LIMIT candidates, else divisors): there a node is a prefix with two
+or more slots left or a closed pair. max_lcm_search takes the lcm L_P,
+scaled sum S_P = sum of L_P // m and product of each closed prefix P once
+and extends them per pair (a, b): L = lcm(L_P, a, b) and
+S = (L // L_P) * S_P + L // a + L // b. The window's open interval has no
+divisor form, so its walk visits, and counts, every prefix down to the
+last slot.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from .egyptian import as_tuple, tuple_lcm, walk
+from .egyptian import as_tuple, walk
 from .rationals import canonical_q
 from .report import Counterexample, EqualityWitness, SearchStats, VerificationReport
 
@@ -136,13 +141,15 @@ def lcm_square_check(t, q: int) -> bool:
     t = as_tuple(t)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    return _square_check(t, q, math.lcm(*t))
+    lcm_value = math.lcm(*t)
+    return _square_check(t, q, lcm_value, sum(lcm_value // m for m in t), math.prod(t))
 
 
-def _square_check(t: tuple[int, ...], q: int, lcm_value: int) -> bool:
-    """lcm_square_check without input validation: t and q must be valid and
-    lcm_value the lcm of t. Both preconditions are still checked."""
-    scaled_sum = sum(lcm_value // m for m in t)
+def _square_check(t, q: int, lcm_value: int, scaled_sum: int, product: int) -> bool:
+    """lcm_square_check without input validation: t and q must be valid,
+    lcm_value the lcm of t, scaled_sum the sum of lcm_value // m_i and
+    product that of t. Both preconditions are still checked; t is read
+    only for the error message."""
     if q * scaled_sum % lcm_value:
         shortfall = len(t) - Fraction(scaled_sum, lcm_value)
         raise ValueError(
@@ -150,7 +157,7 @@ def _square_check(t: tuple[int, ...], q: int, lcm_value: int) -> bool:
         )
     if lcm_value % q:
         raise ValueError(f"q={q} does not divide the tuple lcm {lcm_value}")
-    return lcm_value * lcm_value <= q * math.prod(t)
+    return lcm_value * lcm_value <= q * product
 
 
 def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -158,10 +165,15 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     maximum lcm with all its attainers, and compare against lcm_bound.
 
     Every enumerated tuple whose lcm the modulus divides (all of them when q
-    is canonical) is also run through lcm_square_check's core, given the lcm
-    already taken; walk has already proved its class membership, and the
-    check re-verifies it without Fractions. Tuples whose lcm equals the
-    bound become equality witnesses.
+    is canonical) is also run through lcm_square_check's core; walk has
+    already proved its class membership, and the check re-verifies it
+    without Fractions. The core takes the member's lcm L, scaled sum
+    S = sum of L // m_i and product as integers. walk yields each prefix P
+    with two slots left just before the pairs (a, b) that close it, so
+    L_P = lcm(P), S_P and P's product are taken there once, and each member
+    P + (a, b) gets L = lcm(L_P, a, b), S = (L // L_P) * S_P + L // a + L // b
+    and product prod(P) * a * b. Tuples whose lcm equals the bound become
+    equality witnesses.
     The budget counts walk's yields: the prefixes with two or more slots
     left, and each class member that closes one of them (for k = 1, the
     root and its member). Requires delta >= 0.
@@ -180,18 +192,32 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     max_lcm = 0
     count = 0
     nodes = 0
+    # the lcm, scaled sum and product of the prefix the next pairs close
+    head_lcm, head_sum, head_prod = 1, 0, 1
     # a negative target (delta > k) leaves the root above it: no children
     for nodes, (prefix, slots, side, _, _) in enumerate(walk(k, target, target), 1):
         if nodes > budget:
             break
+        if slots == 2 and side < 0:
+            head_lcm = math.lcm(*prefix)
+            head_sum = sum(head_lcm // m for m in prefix)
+            head_prod = math.prod(prefix)
+            continue
         if slots or side:
             continue
         t = tuple(prefix)
         count += 1
-        lcm_value = tuple_lcm(t)
+        if k > 1:
+            a, b = t[-2:]
+            lcm_value = math.lcm(head_lcm, a, b)
+            scaled_sum = lcm_value // head_lcm * head_sum + lcm_value // a + lcm_value // b
+            product = head_prod * a * b
+        else:  # k = 1: the member is the root's child, no closed pair
+            lcm_value = product = t[0]
+            scaled_sum = 1
         if lcm_value > floor_bound:
             report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
-        if lcm_value % q == 0 and not _square_check(t, q, lcm_value):
+        if lcm_value % q == 0 and not _square_check(t, q, lcm_value, scaled_sum, product):
             report.counterexamples.append(
                 Counterexample("lcm square inequality violated", t, delta, q)
             )

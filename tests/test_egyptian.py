@@ -1,5 +1,6 @@
 """Greedy construction, splitting, and exhaustive fixed-length enumeration."""
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from egyfrac import egyptian
 from egyfrac.egyptian import (
+    SCAN_LIMIT,
     as_tuple,
     enumerate_deficiency,
     enumerate_exact,
@@ -242,15 +245,80 @@ def _brute_two_term(prev: int, x: Fraction) -> list[tuple[int, int]]:
     return out
 
 
+def _reference_two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
+    """two_term_pairs as it read before it scanned narrow candidate ranges,
+    kept as the reference: every pair comes from a divisor x = pa - q <= q
+    of q^2 with x = -q (mod p)."""
+    factors: dict[int, int] = {}
+    n, d = q, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    divisors = [1]  # the divisors of q^2 up to q, kept sorted
+    for prime, e in factors.items():
+        grown = divisors[:]
+        power = 1
+        for _ in range(2 * e):
+            power *= prime
+            end = bisect.bisect_right(divisors, q // power)
+            if not end:
+                break
+            grown += [d * power for d in divisors[:end]]
+        divisors = sorted(grown)
+    square = q * q
+    return [
+        ((x + q) // p, (square // x + q) // p)
+        for x in divisors[bisect.bisect_left(divisors, prev * p - q):]
+        if (x + q) % p == 0
+    ]
+
+
+# with p = 1 the candidates a run from max(prev, q + 1) to 2q
 @settings(max_examples=200, deadline=None)
 @given(p=st.integers(1, 40), q=st.integers(1, 5040), prev=st.integers(1, 100))
 @example(p=1, q=2520, prev=1)  # 2520^2 has 158 divisors up to 2520, each a pair
+@example(p=1, q=SCAN_LIMIT - 1, prev=1)  # scanned
+@example(p=1, q=SCAN_LIMIT, prev=1)  # scanned: SCAN_LIMIT candidates
+@example(p=1, q=SCAN_LIMIT + 1, prev=1)  # closed by divisors
+@example(p=1, q=2 * SCAN_LIMIT, prev=4 * SCAN_LIMIT - 119)  # prev leaves 120: scanned
+@example(p=1, q=2 * SCAN_LIMIT, prev=3 * SCAN_LIMIT)  # prev leaves SCAN_LIMIT + 1
+@example(p=3, q=1000, prev=1)  # 333 candidates: divisors x = pa - q, x = 2 (mod 3)
 def test_two_term_pairs_match_brute_force(p, q, prev):
     x = Fraction(p, q)
     pairs = two_term_pairs(prev, x.numerator, x.denominator)
     assert pairs == _brute_two_term(prev, x)
     for a, b in pairs:
         assert Fraction(1, a) + Fraction(1, b) == x
+
+
+@pytest.mark.parametrize("q,prev,factored", [
+    (SCAN_LIMIT - 1, 1, False),
+    (SCAN_LIMIT, 1, False),
+    (SCAN_LIMIT + 1, 1, True),
+    (2 * SCAN_LIMIT, 1, True),
+    (2 * SCAN_LIMIT, 4 * SCAN_LIMIT - 119, False),
+])
+def test_two_term_pairs_factor_only_wide_ranges(q, prev, factored, monkeypatch):
+    calls = []
+    real = egyptian._prime_factors
+    monkeypatch.setattr(egyptian, "_prime_factors", lambda n: calls.append(n) or real(n))
+    two_term_pairs(prev, 1, q)
+    assert calls == ([q] if factored else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 40), q=st.integers(1, 10**6), prev=st.integers(1, 100))
+@example(p=1, q=720720, prev=1)  # 720720^2 has 1,823 divisors up to 720720, each a pair
+@example(p=1, q=720720, prev=1000000)  # prev drops the pairs below it
+def test_two_term_pairs_match_the_divisor_method(p, q, prev):
+    # far more than SCAN_LIMIT candidates for most draws: the divisor branch
+    x = Fraction(p, q)
+    p, q = x.numerator, x.denominator
+    assert two_term_pairs(prev, p, q) == _reference_two_term_pairs(prev, p, q)
 
 
 def test_enumerate_deficiency():

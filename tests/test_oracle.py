@@ -25,7 +25,6 @@ from egyfrac.egyptian import (
     position_range,
     tuple_lcm,
     tuple_sum,
-    two_term_pairs,
     walk,
 )
 from egyfrac.oracle import (
@@ -41,6 +40,7 @@ from egyfrac.report import (
     VerificationReport,
     report_to_dict,
 )
+from test_egyptian import _reference_two_term_pairs
 
 F = Fraction
 
@@ -338,7 +338,7 @@ def _reference_walk(k: int, low: F, cap: F):
 def _reference_closing_walk(k: int, low: F, cap: F):
     """egyptian.walk as it read before it became one loop over an explicit
     stack, kept as the reference: one nested generator per prefix, with an
-    exact target's last two slots closed by divisors."""
+    exact target's last two slots closed by divisors alone."""
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
     close_at = 2 if (a, b) == (c, d) else 0
@@ -351,7 +351,7 @@ def _reference_closing_walk(k: int, low: F, cap: F):
         if side < 0 and slots:
             if slots == close_at:
                 g = math.gcd(side, b * den)
-                for pair in two_term_pairs(prev, -side // g, b * den // g):
+                for pair in _reference_two_term_pairs(prev, -side // g, b * den // g):
                     prefix.extend(pair)
                     yield prefix, 0, 0, a, b
                     del prefix[-2:]
@@ -610,8 +610,9 @@ def test_lcm_square_check_always_in_domain_at_canonical_q():
 
 
 def test_max_lcm_search_takes_one_lcm_per_member(monkeypatch):
-    # walk has proved each member and tuple_lcm has taken its lcm: the search
-    # neither re-validates the member nor takes the lcm again
+    # walk has proved each member, and the search takes one lcm per member
+    # and one per prefix it closes, which each of its pairs extends: the
+    # search neither re-validates a member nor takes its lcm from scratch
     def no_validation(t):
         raise AssertionError("max_lcm_search re-validated a class member")
 
@@ -622,7 +623,25 @@ def test_max_lcm_search_takes_one_lcm_per_member(monkeypatch):
     report = max_lcm_search(5, F(5, 2), 2)
     monkeypatch.undo()
     assert report.equality_witnesses and not report.counterexamples
-    assert len(lcms) == report.details["class_size"] > 0
+    target = F(5, 2)
+    closed = sum(slots == 2 and side < 0 for _, slots, side, _, _ in walk(5, target, target))
+    assert (len(lcms), report.details["class_size"], closed) == (21, 14, 7)
+
+
+def test_max_lcm_search_checks_membership_of_each_closed_pair(monkeypatch):
+    # a pair pushed off the target must fail the membership check, with the
+    # message lcm_square_check gives for the same tuple
+    real = egyptian.two_term_pairs
+    monkeypatch.setattr(
+        egyptian, "two_term_pairs", lambda *args: [(a, b + 1) for a, b in real(*args)]
+    )
+    with pytest.raises(ValueError) as found:
+        max_lcm_search(3, F(2), 1)
+    with pytest.raises(ValueError) as expected:
+        lcm_square_check((2, 3, 7), 1)
+    assert str(found.value) == str(expected.value)
+    assert "not in a deficiency class mod q=1" in str(found.value)
+
 
 def test_sweep_frozen_grid():
     report = sweep(k_max=4, deltas=(F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2)))

@@ -87,15 +87,26 @@ MUTANTS = [
            "if integral and lcm_value == floor_bound:", "if lcm_value == floor_bound:",
            (T_ORACLE + "test_max_lcm_bound_between_integers",)),
     Mutant("square-check-divisibility-first", ORACLE,
-           "    scaled_sum = sum(lcm_value // m for m in t)\n",
+           "    if q * scaled_sum % lcm_value:\n",
            "    if lcm_value % q:\n"
            '        raise ValueError(f"q={q} does not divide the tuple lcm {lcm_value}")\n'
-           "    scaled_sum = sum(lcm_value // m for m in t)\n",
+           "    if q * scaled_sum % lcm_value:\n",
            (T_ORACLE + "test_lcm_square_check",)),
     Mutant("square-check-membership-without-q", ORACLE,
            "    if q * scaled_sum % lcm_value:", "    if scaled_sum % lcm_value:",
            (T_ORACLE + "test_lcm_square_check",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
+    # the search's members, each extended from the prefix it closes
+    Mutant("head-sum-not-rescaled", ORACLE,
+           "lcm_value // head_lcm * head_sum", "head_sum",
+           (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
+    Mutant("head-product-dropped", ORACLE,
+           "product = head_prod * a * b", "product = a * b",
+           (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
+    Mutant("head-lcm-not-refreshed", ORACLE,
+           "head_lcm = math.lcm(*prefix)",
+           "head_lcm = math.lcm(*prefix) if head_lcm == 1 else head_lcm",
+           (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     # the walker and its two-slot closing
     Mutant("walk-level-pop", EGYPTIAN,
            "            stack.pop()\n            prefix.pop()\n",
@@ -106,11 +117,19 @@ MUTANTS = [
            "close_at = 2 if (a, b) == (c, d) else 0", "close_at = 2",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_frozen_cells")),
+    Mutant("two-term-scan-end-off-by-one", EGYPTIAN,
+           "for a in range(lo, hi + 1)", "for a in range(lo, hi)",
+           (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
+            T_ORACLE + "test_walk_matches_the_recursive_walk")),
+    Mutant("two-term-scan-ignores-prev", EGYPTIAN,
+           "for a in range(lo, hi + 1)", "for a in range(q // p + 1, hi + 1)",
+           (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
+            T_ORACLE + "test_walk_matches_the_recursive_walk")),
     Mutant("two-term-prev-bound-dropped", EGYPTIAN,
            "for x in divisors[bisect.bisect_left(divisors, prev * p - q):]",
            "for x in divisors",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
-            T_ORACLE + "test_max_lcm_frozen_cells")),
+            T_EGYPTIAN + "test_two_term_pairs_match_the_divisor_method")),
     Mutant("two-term-congruence-dropped", EGYPTIAN,
            "        if (x + q) % p == 0\n", "",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
@@ -127,7 +146,7 @@ MUTANTS = [
            "for x in divisors[bisect.bisect_left(divisors, prev * p - q):]",
            "for x in divisors[bisect.bisect_left(divisors, prev * p - q):][::-1]",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
-            T_EGYPTIAN + "test_enumerate_frozen_examples")),
+            T_EGYPTIAN + "test_two_term_pairs_match_the_divisor_method")),
     # extremal patterns and classification
     Mutant("pattern-builds-before-divisibility", BOUNDS,
            "        if num % d.r:\n            return None\n"
