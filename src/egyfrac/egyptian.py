@@ -101,33 +101,36 @@ def _prime_factors(n: int) -> dict[int, int]:
     return factors
 
 
-# the most candidates a that two_term_pairs scans one by one; a wider range
-# is closed from the divisors of q^2, whose trial division costs about
-# sqrt(q)/2 steps however wide the range (on the lcm grid of the benchmark,
-# limits from 128 to 512 time alike)
+# the most candidates a that two_term_pairs scans one by one, one test of
+# x | q^2 each; a wider range is closed from the divisors of q^2, whose
+# trial division costs up to about sqrt(q)/2 steps however wide the range
+# (on the lcm grid of the benchmark, limits from 128 to 4096 time alike,
+# and 256 to 1024 on the cell (6, 11/2, 2))
 SCAN_LIMIT = 256
 
 
 def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
     """Every pair prev <= a <= b with 1/a + 1/b == p/q, in increasing a.
 
-    p/q > 0 must be reduced. Then q/p < a <= 2q/p, and b = qa/(pa - q)
-    must be whole. When the candidates a from max(prev, q//p + 1) to 2q//p
-    number at most SCAN_LIMIT, they are scanned directly. More are closed
-    by divisors: the equation is (pa - q)(pb - q) = q^2, so a pair is a
-    divisor x = pa - q <= q of q^2 with x = -q (mod p); then
-    q^2/x = -q (mod p) as well, since p is coprime to q, and b is whole.
+    p/q > 0 must be reduced. Then q/p < a <= 2q/p, and the equation is
+    (pa - q)(pb - q) = q^2, so a pair is a divisor x = pa - q <= q of q^2
+    with x = -q (mod p); then q^2/x = -q (mod p) as well, since p is
+    coprime to q, and b = (q^2/x + q)/p is whole. When the candidates a
+    from max(prev, q//p + 1) to 2q//p number at most SCAN_LIMIT, their
+    x = pa - q are scanned directly, one test x | q^2 each. More are
+    closed from the divisors of q^2 that factoring q gives.
 
     >>> two_term_pairs(1, 1, 2)
     [(3, 6), (4, 4)]
     """
     lo = max(prev, q // p + 1)
     hi = 2 * q // p
+    square = q * q
     if hi - lo < SCAN_LIMIT:
         return [
-            (a, q * a // (p * a - q))
-            for a in range(lo, hi + 1)
-            if q * a % (p * a - q) == 0
+            ((x + q) // p, (square // x + q) // p)
+            for x in range(p * lo - q, p * hi - q + 1, p)
+            if square % x == 0
         ]
     divisors = [1]  # the divisors of q^2 up to q, kept sorted
     for prime, e in _prime_factors(q).items():
@@ -140,7 +143,6 @@ def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
                 break
             grown += [d * power for d in divisors[:end]]
         divisors = sorted(grown)
-    square = q * q
     return [
         ((x + q) // p, (square // x + q) // p)
         for x in divisors[bisect.bisect_left(divisors, prev * p - q):]
@@ -159,23 +161,22 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     children, the m in position_range with room cap - sum and need
     low - sum; cap >= low. The yielded list is reused: copy it to keep it.
 
-    An exact target (cap == low) closes every prefix below it with two
-    slots left by two_term_pairs, which scans a narrow range of candidates
-    for the next entry and takes a wide one from divisors: the prefix's
-    children and grandchildren are not visited, and each completing pair
-    is yielded as a leaf (slots 0, side 0). So an exact walk yields its
-    prefixes with two or more slots plus the closed pairs (for k = 1, the
-    root and its one leaf, if any); every k-term tuple summing to low is
-    still yielded once, in the same order.
+    An exact target (cap == low) stops at every prefix below it with two
+    slots left: that prefix is yielded, but its children and grandchildren
+    are not visited. Its consumer closes it with close_pairs, whose pairs
+    complete it to every tuple summing to low. So an exact walk yields its
+    prefixes with two or more slots (for k = 1, the root and its one leaf,
+    if any), and expanding each two-slot prefix by its pairs gives every
+    k-term tuple summing to low once, in lexicographic order.
 
     The walk is one loop over an explicit stack, without recursion: each
     yield costs the same at every depth.
     """
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
-    # an exact target closes its prefixes with two slots left; the loop
+    # an exact target stops at its prefixes with two slots left; the loop
     # compares only nonzero slots, so 0 means "never"
-    close_at = 2 if (a, b) == (c, d) else 0
+    stop_at = 2 if (a, b) == (c, d) else 0
     prefix: list[int] = []
     # one (children, num, den) per prefix whose children are being walked;
     # while a level is open, prefix ends in the slot of its current child
@@ -185,20 +186,11 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
         slots = k - len(prefix)
         side = num * b - a * den
         yield prefix, slots, side, num, den
-        if side < 0 and slots:
-            if slots == close_at:
-                # every prime of the remainder's denominator divides b or a
-                # prefix entry, which keeps two_term_pairs' trial division short
-                g = math.gcd(side, b * den)
-                for pair in two_term_pairs(m, -side // g, b * den // g):
-                    prefix.extend(pair)
-                    yield prefix, 0, 0, a, b
-                    del prefix[-2:]
-            else:
-                room = (c * den - num * d, d * den)
-                children = position_range(m, slots, room, (-side, b * den))
-                stack.append((iter(children), num, den))
-                prefix.append(0)
+        if side < 0 and slots and slots != stop_at:
+            room = (c * den - num * d, d * den)
+            children = position_range(m, slots, room, (-side, b * den))
+            stack.append((iter(children), num, den))
+            prefix.append(0)
         # on to the next child of the deepest open level; none left: done
         while stack:
             children, num, den = stack[-1]
@@ -215,19 +207,39 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
         num, den = num // g, den // g
 
 
+def close_pairs(prefix: list[int], side: int, den: int, low) -> list[tuple[int, int]]:
+    """The pairs (a, b), in increasing a, that complete a prefix which an
+    exact walk toward low yielded with two slots left (pass its side < 0
+    and den): two_term_pairs on the reduced remainder, with a no smaller
+    than the prefix's last entry.
+
+    two_term_pairs factors the remainder's denominator q only when more
+    than SCAN_LIMIT candidates remain. That trial division takes up to
+    about sqrt(q)/2 steps, and no node budget bounds it: a remainder whose
+    denominator has a large prime factor stalls a single closing.
+    """
+    b = low.denominator
+    g = math.gcd(side, b * den)
+    return two_term_pairs(prefix[-1] if prefix else 1, -side // g, b * den // g)
+
+
 def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
     """Yield every k-term representation of x, in lexicographic order.
 
-    The target is exact, so walk closes the last two terms of each prefix
-    in one call of two_term_pairs instead of looping over them.
+    The target is exact, so walk stops two slots short, and each prefix it
+    yields there is completed by the pairs close_pairs returns.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError(f"target sum must be nonnegative, got {x}")
     if k < 0:
         raise ValueError(f"term count must be nonnegative, got {k}")
-    for prefix, slots, side, _, _ in walk(k, x, x):
-        if not slots and not side:
+    for prefix, slots, side, _, den in walk(k, x, x):
+        if slots == 2 and side < 0:
+            head = tuple(prefix)
+            for pair in close_pairs(prefix, side, den, x):
+                yield head + pair
+        elif not slots and not side:
             yield tuple(prefix)
 
 

@@ -10,8 +10,9 @@ extremal constructors.
 Both searches iterate egyptian.walk, in lexicographic order, and count
 every prefix it yields as one node against their budget; running out of
 budget is reported as its own failure mode, never as a counterexample.
-The lcm class has an exact target, so walk closes each prefix with two
-slots left in one step (egyptian.two_term_pairs: a direct scan of at most
+The lcm class has an exact target, so walk stops at each prefix with two
+slots left, and max_lcm_search closes it in one step with
+egyptian.close_pairs (two_term_pairs: a direct scan of at most
 SCAN_LIMIT candidates, else divisors): there a node is a prefix with two
 or more slots left or a closed pair. max_lcm_search takes the lcm L_P,
 scaled sum S_P = sum of L_P // m and product of each closed prefix P once
@@ -34,7 +35,7 @@ from .bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from .egyptian import as_tuple, walk
+from .egyptian import as_tuple, close_pairs, walk
 from .rationals import canonical_q
 from .report import Counterexample, EqualityWitness, SearchStats, VerificationReport
 
@@ -165,18 +166,22 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     maximum lcm with all its attainers, and compare against lcm_bound.
 
     Every enumerated tuple whose lcm the modulus divides (all of them when q
-    is canonical) is also run through lcm_square_check's core; walk has
-    already proved its class membership, and the check re-verifies it
-    without Fractions. The core takes the member's lcm L, scaled sum
-    S = sum of L // m_i and product as integers. walk yields each prefix P
-    with two slots left just before the pairs (a, b) that close it, so
-    L_P = lcm(P), S_P and P's product are taken there once, and each member
+    is canonical) is also run through lcm_square_check's core; walk and
+    close_pairs have already proved its class membership, and the check
+    re-verifies it without Fractions. The core takes the member's lcm L,
+    scaled sum S = sum of L // m_i and product as integers. walk stops at
+    each prefix P with two slots left, and the search closes P with
+    close_pairs and checks all its members in one inner loop: L_P = lcm(P),
+    S_P and P's product are taken once, S_P = L_P // den * num from P's
+    sum num/den in lowest terms (den divides L_P), and each member
     P + (a, b) gets L = lcm(L_P, a, b), S = (L // L_P) * S_P + L // a + L // b
     and product prod(P) * a * b. Tuples whose lcm equals the bound become
     equality witnesses.
-    The budget counts walk's yields: the prefixes with two or more slots
-    left, and each class member that closes one of them (for k = 1, the
-    root and its member). Requires delta >= 0.
+    The budget counts one node per prefix walk yields (those with two or
+    more slots left; for k = 1, the root and its member) and one per pair
+    that closes a prefix. When it runs out inside a closing, the pairs
+    within it are checked and the first one past it is the last node
+    counted. Requires delta >= 0.
     """
     _check_search(k, budget)
     delta = Fraction(delta)
@@ -192,41 +197,53 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     max_lcm = 0
     count = 0
     nodes = 0
-    # the lcm, scaled sum and product of the prefix the next pairs close
-    head_lcm, head_sum, head_prod = 1, 0, 1
+    cut = False
     # a negative target (delta > k) leaves the root above it: no children
-    for nodes, (prefix, slots, side, _, _) in enumerate(walk(k, target, target), 1):
+    for prefix, slots, side, num, den in walk(k, target, target):
+        nodes += 1
         if nodes > budget:
             break
         if slots == 2 and side < 0:
-            head_lcm = math.lcm(*prefix)
-            head_sum = sum(head_lcm // m for m in prefix)
-            head_prod = math.prod(prefix)
+            tails = close_pairs(prefix, side, den, target)
+            cut = nodes + len(tails) > budget
+            if cut:  # the budget runs out inside this closing
+                tails = tails[:budget - nodes]
+            nodes += len(tails)
+            if tails:
+                head = tuple(prefix)
+                head_lcm = math.lcm(*prefix)
+                head_sum = head_lcm // den * num
+                head_prod = math.prod(prefix)
+        elif slots or side:
             continue
-        if slots or side:
-            continue
-        t = tuple(prefix)
-        count += 1
-        if k > 1:
-            a, b = t[-2:]
-            lcm_value = math.lcm(head_lcm, a, b)
-            scaled_sum = lcm_value // head_lcm * head_sum + lcm_value // a + lcm_value // b
-            product = head_prod * a * b
-        else:  # k = 1: the member is the root's child, no closed pair
-            lcm_value = product = t[0]
-            scaled_sum = 1
-        if lcm_value > floor_bound:
-            report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
-        if lcm_value % q == 0 and not _square_check(t, q, lcm_value, scaled_sum, product):
-            report.counterexamples.append(
-                Counterexample("lcm square inequality violated", t, delta, q)
-            )
-        if lcm_value > max_lcm:
-            max_lcm, maximizers = lcm_value, [t]
-        elif lcm_value == max_lcm:
-            maximizers.append(t)
-        if integral and lcm_value == floor_bound:
-            report.equality_witnesses.append(_witness(t, delta, q))
+        else:  # k = 1: the root's child is the one member, and no pair closes it
+            head, tails = (), [tuple(prefix)]
+        count += len(tails)
+        for tail in tails:
+            t = head + tail
+            if k > 1:
+                a, b = tail
+                lcm_value = math.lcm(head_lcm, a, b)
+                scaled_sum = lcm_value // head_lcm * head_sum + lcm_value // a + lcm_value // b
+                product = head_prod * a * b
+            else:
+                lcm_value = product = t[0]
+                scaled_sum = 1
+            if lcm_value > floor_bound:
+                report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
+            if lcm_value % q == 0 and not _square_check(t, q, lcm_value, scaled_sum, product):
+                report.counterexamples.append(
+                    Counterexample("lcm square inequality violated", t, delta, q)
+                )
+            if lcm_value > max_lcm:
+                max_lcm, maximizers = lcm_value, [t]
+            elif lcm_value == max_lcm:
+                maximizers.append(t)
+            if integral and lcm_value == floor_bound:
+                report.equality_witnesses.append(_witness(t, delta, q))
+        if cut:
+            nodes += 1  # the first pair past the budget
+            break
     report.details = {
         "class_size": count,
         "max_lcm": max_lcm if count else None,

@@ -287,6 +287,8 @@ def _reference_two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]
 @example(p=1, q=2 * SCAN_LIMIT, prev=4 * SCAN_LIMIT - 119)  # prev leaves 120: scanned
 @example(p=1, q=2 * SCAN_LIMIT, prev=3 * SCAN_LIMIT)  # prev leaves SCAN_LIMIT + 1
 @example(p=3, q=1000, prev=1)  # 333 candidates: divisors x = pa - q, x = 2 (mod 3)
+@example(p=3, q=100, prev=40)  # prev sets the scan's start, a = 40 closes (40, 200)
+@example(p=7, q=120, prev=24)  # prev sets the scan's start, a = 24 closes (24, 60)
 def test_two_term_pairs_match_brute_force(p, q, prev):
     x = Fraction(p, q)
     pairs = two_term_pairs(prev, x.numerator, x.denominator)

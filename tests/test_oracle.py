@@ -21,6 +21,7 @@ from egyfrac.bounds import (
 )
 from egyfrac.egyptian import (
     as_tuple,
+    close_pairs,
     enumerate_exact,
     position_range,
     tuple_lcm,
@@ -267,30 +268,64 @@ def test_max_lcm_budget_exhaustion():
     assert report.stats.nodes == 6  # the node that tripped the limit counts
 
 
+def _closed_walk(k: int, low: F, cap: F):
+    """walk's yields with each exact closing expanded back into leaves:
+    a prefix below an exact target with two slots left is followed by one
+    (prefix + pair, 0, 0, low's numerator, low's denominator) per pair that
+    close_pairs returns, as walk yielded its closed pairs before its
+    consumers took them over."""
+    for prefix, slots, side, num, den in walk(k, low, cap):
+        yield prefix, slots, side, num, den
+        if low == cap and slots == 2 and side < 0:
+            for pair in close_pairs(prefix, side, den, low):
+                yield prefix + list(pair), 0, 0, low.numerator, low.denominator
+
+
 def _walk_under_budget(k: int, delta: F, budget: int):
-    """(nodes, class members, budget_exceeded) of a budgeted pass over the
-    prefixes walk yields for the class summing to k - delta."""
+    """(nodes, class members, maximizers, budget_exceeded) of a budgeted pass
+    over the class summing to k - delta, one node per prefix walk yields and
+    one per pair that closes a prefix."""
     target = k - delta
-    sides = [(slots, side) for _, slots, side, _, _ in
-             itertools.islice(walk(k, target, target), budget + 1)]
-    members = sum(1 for slots, side in sides[:budget] if not slots and not side)
-    return len(sides), members, len(sides) > budget
+    yields = _yields(_closed_walk(k, target, target), budget + 1)
+    members = [t for t, slots, side, _, _ in yields[:budget] if not slots and not side]
+    lcms = [math.lcm(*t) for t in members]
+    top = max(lcms, default=None)
+    maximizers = [t for t, lcm in zip(members, lcms) if lcm == top]
+    return len(yields), len(members), maximizers, len(yields) > budget
 
 
 @pytest.mark.parametrize(
     "k,delta,q,budgets",
-    [(4, F(2), 1, range(1, 51)), (5, F(5, 2), 2, range(1, 51)), (6, F(11, 2), 2, [1000])],
+    [
+        (4, F(2), 1, range(1, 51)),
+        (5, F(5, 2), 2, range(1, 51)),
+        (6, F(11, 2), 2, [1000]),
+        (4, F(3), 1, range(1, 51)),
+    ],
 )
 def test_max_lcm_budget_counts_walker_nodes(k, delta, q, budgets):
-    # in (6, 11/2, 2), closed pairs are 989 of the first 1000 walker nodes:
-    # the budget counts them as well as the prefixes they close
+    # in (6, 11/2, 2), closed pairs are 989 of the first 1000 nodes: the
+    # budget counts them as well as the prefixes they close
     for budget in budgets:
         report = max_lcm_search(k, delta, q, budget=budget)
         assert (
             report.stats.nodes,
             report.details["class_size"],
+            report.details["maximizers"],
             report.budget_exceeded,
         ) == _walk_under_budget(k, delta, budget), budget
+
+
+def test_max_lcm_budget_cuts_through_a_closing():
+    # in (4, 3, 1) the prefix (2, 3) is node 5, and its five pairs (7, 42),
+    # (8, 24), (9, 18), (10, 15), (12, 12) are nodes 6 to 10: a budget of 7
+    # checks the first two and counts the third as the node past it
+    report = max_lcm_search(4, F(3), 1, budget=7)
+    assert report.budget_exceeded
+    assert report.stats.nodes == 8
+    assert report.details["class_size"] == 2
+    assert report.details["maximizers"] == [(2, 3, 7, 42)]
+    assert (8, 2, [(2, 3, 7, 42)], True) == _walk_under_budget(4, F(3), 7)
 
 
 def _reference_square_check(t, q: int) -> bool:
@@ -424,7 +459,7 @@ def _assert_lcm_matches_reference(k, delta, q):
         report.counterexamples,
     ) == _reference_lcm(k, delta, q, report.parameters["lcm_bound"]), (k, delta, q)
     target = k - delta
-    assert report.stats.nodes == sum(1 for _ in walk(k, target, target))
+    assert report.stats.nodes == sum(1 for _ in _closed_walk(k, target, target))
     if target >= 0:
         assert enumerate_exact(target, k) == _reference_class(k, target), (k, delta)
 
@@ -462,7 +497,7 @@ def test_walk_matches_the_recursive_walk():
         ), (k, delta, q)
     for k, delta, q in LCM_CELLS + CLASS_CELLS:
         target = k - delta
-        assert _yields(walk(k, target, target)) == _yields(
+        assert _yields(_closed_walk(k, target, target)) == _yields(
             _reference_closing_walk(k, target, target)
         ), (k, delta, q)
 
@@ -473,7 +508,7 @@ def test_walk_matches_the_recursive_walk():
 ])
 def test_walk_matches_the_recursive_walk_when_cut_short(k, low, cap):
     for budget in range(1, 51):
-        assert _yields(walk(k, low, cap), budget) == _yields(
+        assert _yields(_closed_walk(k, low, cap), budget) == _yields(
             _reference_closing_walk(k, low, cap), budget
         ), budget
 
@@ -611,8 +646,9 @@ def test_lcm_square_check_always_in_domain_at_canonical_q():
 
 def test_max_lcm_search_takes_one_lcm_per_member(monkeypatch):
     # walk has proved each member, and the search takes one lcm per member
-    # and one per prefix it closes, which each of its pairs extends: the
-    # search neither re-validates a member nor takes its lcm from scratch
+    # and one per closed prefix with a pair, which each of its pairs
+    # extends: the search neither re-validates a member nor takes its lcm
+    # from scratch (all seven closings of this cell have pairs)
     def no_validation(t):
         raise AssertionError("max_lcm_search re-validated a class member")
 

@@ -103,28 +103,45 @@ MUTANTS = [
     Mutant("head-product-dropped", ORACLE,
            "product = head_prod * a * b", "product = a * b",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
-    Mutant("head-lcm-not-refreshed", ORACLE,
-           "head_lcm = math.lcm(*prefix)",
-           "head_lcm = math.lcm(*prefix) if head_lcm == 1 else head_lcm",
+    Mutant("head-lcm-drops-first-entry", ORACLE,
+           "head_lcm = math.lcm(*prefix)", "head_lcm = math.lcm(*prefix[1:])",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
+    Mutant("head-sum-off", ORACLE,
+           "head_sum = head_lcm // den * num", "head_sum = head_lcm // den * (num + 1)",
+           (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
+    Mutant("closing-budget-cut-off-by-one", ORACLE,
+           "tails = tails[:budget - nodes]", "tails = tails[:budget - nodes + 1]",
+           (T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
+            T_ORACLE + "test_max_lcm_budget_counts_walker_nodes")),
     # the walker and its two-slot closing
     Mutant("walk-level-pop", EGYPTIAN,
            "            stack.pop()\n            prefix.pop()\n",
            "            stack.pop()\n",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_walker_matches_reference")),
-    Mutant("walk-closes-inexact-targets", EGYPTIAN,
-           "close_at = 2 if (a, b) == (c, d) else 0", "close_at = 2",
+    Mutant("walk-stops-inexact-targets", EGYPTIAN,
+           "stop_at = 2 if (a, b) == (c, d) else 0", "stop_at = 2",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_frozen_cells")),
     Mutant("two-term-scan-end-off-by-one", EGYPTIAN,
-           "for a in range(lo, hi + 1)", "for a in range(lo, hi)",
+           "range(p * lo - q, p * hi - q + 1, p)", "range(p * lo - q, p * hi - q, p)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_walk_matches_the_recursive_walk")),
     Mutant("two-term-scan-ignores-prev", EGYPTIAN,
-           "for a in range(lo, hi + 1)", "for a in range(q // p + 1, hi + 1)",
+           "range(p * lo - q, p * hi - q + 1, p)",
+           "range(p * (q // p + 1) - q, p * hi - q + 1, p)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_walk_matches_the_recursive_walk")),
+    Mutant("two-term-scan-starts-late", EGYPTIAN,
+           "range(p * lo - q, p * hi - q + 1, p)", "range(p * lo - q + p, p * hi - q + 1, p)",
+           (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
+            T_ORACLE + "test_walk_matches_the_recursive_walk")),
+    Mutant("iter-exact-drops-closings", EGYPTIAN,
+           "            for pair in close_pairs(prefix, side, den, x):\n"
+           "                yield head + pair\n",
+           "            pass\n",
+           (T_EGYPTIAN + "test_enumerate_frozen_examples",
+            T_EGYPTIAN + "test_iter_exact_matches_brute_force")),
     Mutant("two-term-prev-bound-dropped", EGYPTIAN,
            "for x in divisors[bisect.bisect_left(divisors, prev * p - q):]",
            "for x in divisors",
