@@ -152,7 +152,7 @@ def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
 
 def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     """Depth-first walk over nondecreasing prefixes of k-term tuples, in
-    lexicographic order, with the prefix sum kept as a reduced integer pair.
+    lexicographic order, with the prefix sum kept as an integer pair.
 
     Yields (prefix, slots, side, num, den) for every visited prefix, the
     empty one first: slots terms are still to place, num/den is the prefix
@@ -160,6 +160,13 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     (0) or above (> 0) low. Only a prefix below low with slots left gets
     children, the m in position_range with room cap - sum and need
     low - sum; cap >= low. The yielded list is reused: copy it to keep it.
+
+    num/den is in lowest terms for every prefix with a slot left. A leaf
+    (slots == 0) is its sum but not necessarily in lowest terms: it is
+    (n*m + d)/(d*m) from its parent's n/d, and its side m*s + b*d from its
+    parent's side s, with b low's denominator. Both are the reduced values
+    times gcd(n*m + d, d*m) > 0, so side keeps its sign, and the tests
+    consumers make on a leaf (signs and comparisons of sums) do not change.
 
     An exact target (cap == low) stops at every prefix below it with two
     slots left: that prefix is yielded, but its children and grandchildren
@@ -169,8 +176,11 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     if any), and expanding each two-slot prefix by its pairs gives every
     k-term tuple summing to low once, in lexicographic order.
 
-    The walk is one loop over an explicit stack, without recursion: each
-    yield costs the same at every depth.
+    The walk is one loop over an explicit stack, without recursion, so a
+    prefix costs the same at every depth. A prefix below low with one slot
+    left pushes no level: its leaves come from one inner loop, which
+    neither reduces their sums nor goes through the stack, so a leaf costs
+    less than a prefix with a slot left.
     """
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
@@ -178,8 +188,9 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     # compares only nonzero slots, so 0 means "never"
     stop_at = 2 if (a, b) == (c, d) else 0
     prefix: list[int] = []
-    # one (children, num, den) per prefix whose children are being walked;
-    # while a level is open, prefix ends in the slot of its current child
+    # one (children, num, den) per prefix with two or more slots whose
+    # children are being walked; while a level is open, prefix ends in the
+    # slot of its current child
     stack: list[tuple[Iterator[int], int, int]] = []
     m, num, den = 1, 0, 1  # m: the prefix's last entry (1 for the root)
     while True:
@@ -189,8 +200,16 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
         if side < 0 and slots and slots != stop_at:
             room = (c * den - num * d, d * den)
             children = position_range(m, slots, room, (-side, b * den))
-            stack.append((iter(children), num, den))
             prefix.append(0)
+            if slots == 1:
+                # the leaves: no stack level and no reduced sum (see above)
+                bd = b * den
+                for m in children:
+                    prefix[-1] = m
+                    yield prefix, 0, m * side + bd, num * m + den, den * m
+                prefix.pop()
+            else:
+                stack.append((iter(children), num, den))
         # on to the next child of the deepest open level; none left: done
         while stack:
             children, num, den = stack[-1]

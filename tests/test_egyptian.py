@@ -2,6 +2,7 @@
 
 import bisect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -126,6 +127,35 @@ def test_enumerate_frozen_examples():
     assert enumerate_exact(Fraction(2, 7), 1) == []
     assert enumerate_exact(0, 0) == [()]
     assert enumerate_exact(Fraction(1, 2), 0) == []
+
+
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    low=st.fractions(min_value=0, max_value=5, max_denominator=12),
+    extra=st.fractions(min_value=0, max_value=2, max_denominator=6),
+)
+@example(k=3, low=Fraction(41, 42), extra=Fraction(2))  # the window floor of (3, 2, 1)
+@example(k=5, low=Fraction(5, 2), extra=Fraction(0))  # exact: closings, no leaves
+def test_walk_yields_each_prefix_sum_and_side(k, low, extra):
+    # a leaf's sum may come unreduced, but it is the prefix's sum, and its
+    # side is num*b - a*den as for every prefix; the first 1000 yields
+    # only, since some draws walk for far longer
+    a, b = low.numerator, low.denominator
+    for prefix, slots, side, num, den in itertools.islice(
+        egyptian.walk(k, low, low + extra), 1000
+    ):
+        total = tuple_sum(prefix)
+        assert slots == k - len(prefix)
+        assert Fraction(num, den) == total
+        assert side == num * b - a * den
+        assert _sign(side) == _sign(total - low)
+        if slots:
+            assert math.gcd(num, den) == 1
 
 
 def _naive_exact(x: Fraction, k: int) -> list[tuple[int, ...]]:

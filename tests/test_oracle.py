@@ -194,7 +194,12 @@ def test_window_walker_matches_reference():
 
 @pytest.mark.parametrize("k,delta,q", [(4, F(2), 1), (5, F(5, 2), 2)])
 def test_window_walker_matches_reference_under_budget(k, delta, q):
-    for budget in range(1, 41):
+    # every budget up to the whole walk and one past it: in (5, 5/2, 2), 117
+    # of the 155 nodes are leaves, 37 of them in one run under one prefix,
+    # so most budgets run out inside a last slot's loop
+    nodes = window_search(k, delta, q).stats.nodes
+    assert nodes == {4: 20, 5: 155}[k]
+    for budget in range(1, nodes + 2):
         _assert_matches_reference(k, delta, q, budget)
 
 
@@ -410,6 +415,17 @@ def _yields(walker, budget=None):
     ]
 
 
+def _by_value(yields):
+    """_yields with each leaf's (side, num, den) read as (sign of side, sum):
+    walk leaves a leaf's sum unreduced and the reference walks reduce it.
+    A prefix with a slot left keeps its exact (side, num, den)."""
+    return [
+        (t, 0, (side > 0) - (side < 0), F(num, den)) if not slots
+        else (t, slots, side, num, den)
+        for t, slots, side, num, den in yields
+    ]
+
+
 def _reference_class(k: int, target: F) -> list[tuple[int, ...]]:
     """The k-tuples summing to target, in the reference walk's order."""
     return [
@@ -492,8 +508,8 @@ def test_max_lcm_walker_matches_reference():
 def test_walk_matches_the_recursive_walk():
     for k, delta, q in WALKER_CELLS:
         bound = sharp_sum_bound(k, delta, q)
-        assert _yields(walk(k, bound, k + 1)) == _yields(
-            _reference_closing_walk(k, bound, k + 1)
+        assert _by_value(_yields(walk(k, bound, k + 1))) == _by_value(
+            _yields(_reference_closing_walk(k, bound, k + 1))
         ), (k, delta, q)
     for k, delta, q in LCM_CELLS + CLASS_CELLS:
         target = k - delta
@@ -508,8 +524,8 @@ def test_walk_matches_the_recursive_walk():
 ])
 def test_walk_matches_the_recursive_walk_when_cut_short(k, low, cap):
     for budget in range(1, 51):
-        assert _yields(_closed_walk(k, low, cap), budget) == _yields(
-            _reference_closing_walk(k, low, cap), budget
+        assert _by_value(_yields(_closed_walk(k, low, cap), budget)) == _by_value(
+            _yields(_reference_closing_walk(k, low, cap), budget)
         ), budget
 
 

@@ -123,6 +123,26 @@ MUTANTS = [
            "stop_at = 2 if (a, b) == (c, d) else 0", "stop_at = 2",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_frozen_cells")),
+    Mutant("leaf-side-from-parent", EGYPTIAN,
+           "yield prefix, 0, m * side + bd,", "yield prefix, 0, side,",
+           (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
+            T_ORACLE + "test_walk_matches_the_recursive_walk",
+            T_ORACLE + "test_window_frozen_cells")),
+    Mutant("leaf-sum-from-parent", EGYPTIAN,
+           "m * side + bd, num * m + den, den * m", "m * side + bd, num, den",
+           (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
+            T_ORACLE + "test_walk_matches_the_recursive_walk",
+            T_ORACLE + "test_window_frozen_cells")),
+    Mutant("leaf-loop-keeps-its-slot", EGYPTIAN,
+           "den * m\n                prefix.pop()\n", "den * m\n",
+           (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
+            T_ORACLE + "test_walk_matches_the_recursive_walk",
+            T_ORACLE + "test_window_walker_matches_reference")),
+    Mutant("leaf-loop-starts-late", EGYPTIAN,
+           "for m in children:", "for m in children[1:]:",
+           (T_ORACLE + "test_walk_matches_the_recursive_walk",
+            T_ORACLE + "test_window_walker_matches_reference",
+            T_ORACLE + "test_window_frozen_cells")),
     Mutant("two-term-scan-end-off-by-one", EGYPTIAN,
            "range(p * lo - q, p * hi - q + 1, p)", "range(p * lo - q, p * hi - q, p)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
