@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import (
-    EqualityFamily,
     classify_equality,
     extremal_gap_tuple,
     extremal_lcm_tuple,
@@ -206,19 +205,13 @@ def cmd_extremal(args) -> int:
     if t is None:
         _emit(args, inputs, result, ["absent"], rows=[])
         return 0
-    family = classify_equality(t, args.delta, q).tag
-    # a family is matched by its pattern, whose sum is fixed: k - delta for
-    # the lcm families, the sharp sum bound for the gap families
-    if family is EqualityFamily.NONE:
-        total = tuple_sum(t)
-    elif family in (EqualityFamily.SYLVESTER_LCM, EqualityFamily.TWO_TERM_LCM):
-        total = args.k - args.delta
-    else:
-        total = sharp_sum_bound(args.k, args.delta, q)
+    # each constructor asserts its tuple's sum: the sharp sum bound for gap,
+    # k - delta for lcm
+    total = bound if args.kind == "gap" else args.k - args.delta
     result["denominators"] = _tuple_strs(t)
     result["sum"] = rational_str(total)
     result["lcm"] = str(tuple_lcm(t))
-    result["family"] = family.value
+    result["family"] = classify_equality(t, args.delta, q).tag.value
     _emit(args, inputs, result, rows=[t])
     return 0
 

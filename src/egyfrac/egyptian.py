@@ -161,12 +161,8 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     children, the m in position_range with room cap - sum and need
     low - sum; cap >= low. The yielded list is reused: copy it to keep it.
 
-    num/den is in lowest terms for every prefix with a slot left. A leaf
-    (slots == 0) is its sum but not necessarily in lowest terms: it is
-    (n*m + d)/(d*m) from its parent's n/d, and its side m*s + b*d from its
-    parent's side s, with b low's denominator. Both are the reduced values
-    times gcd(n*m + d, d*m) > 0, so side keeps its sign, and the tests
-    consumers make on a leaf (signs and comparisons of sums) do not change.
+    num/den is never reduced: den == prod(prefix) and num is the sum of
+    den // m over the prefix's entries.
 
     An exact target (cap == low) stops at every prefix below it with two
     slots left: that prefix is yielded, but its children and grandchildren
@@ -178,9 +174,9 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
 
     The walk is one loop over an explicit stack, without recursion, so a
     prefix costs the same at every depth. A prefix below low with one slot
-    left pushes no level: its leaves come from one inner loop, which
-    neither reduces their sums nor goes through the stack, so a leaf costs
-    less than a prefix with a slot left.
+    left pushes no level: its leaves come from one inner loop, which does
+    not go through the stack, so a leaf costs less than a prefix with a
+    slot left.
     """
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
@@ -202,7 +198,7 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
             children = position_range(m, slots, room, (-side, b * den))
             prefix.append(0)
             if slots == 1:
-                # the leaves: no stack level and no reduced sum (see above)
+                # the leaves: no stack level
                 bd = b * den
                 for m in children:
                     prefix[-1] = m
@@ -222,8 +218,6 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
             return
         prefix[-1] = m
         num, den = num * m + den, den * m
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
 
 
 def close_pairs(prefix: list[int], side: int, den: int, low) -> list[tuple[int, int]]:

@@ -14,12 +14,12 @@ The lcm class has an exact target, so walk stops at each prefix with two
 slots left, and max_lcm_search closes it in one step with
 egyptian.close_pairs (two_term_pairs: a direct scan of at most
 SCAN_LIMIT candidates, else divisors): there a node is a prefix with two
-or more slots left or a closed pair. max_lcm_search takes the lcm L_P,
-scaled sum S_P = sum of L_P // m and product of each closed prefix P once
-and extends them per pair (a, b): L = lcm(L_P, a, b) and
-S = (L // L_P) * S_P + L // a + L // b. The window's open interval has no
-divisor form, so its walk visits, and counts, every prefix down to the
-last slot.
+or more slots left or a closed pair. max_lcm_search takes the lcm L_P
+and scaled sum S_P = L_P * num // den of each closed prefix P once, from
+its sum num/den with den = prod(P), and extends them per pair (a, b):
+L = lcm(L_P, a, b), S = (L // L_P) * S_P + L // a + L // b and product
+den * a * b. The window's open interval has no divisor form, so its walk
+visits, and counts, every prefix down to the last slot.
 """
 
 from __future__ import annotations
@@ -171,12 +171,11 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     re-verifies it without Fractions. The core takes the member's lcm L,
     scaled sum S = sum of L // m_i and product as integers. walk stops at
     each prefix P with two slots left, and the search closes P with
-    close_pairs and checks all its members in one inner loop: L_P = lcm(P),
-    S_P and P's product are taken once, S_P = L_P // den * num from P's
-    sum num/den in lowest terms (den divides L_P), and each member
-    P + (a, b) gets L = lcm(L_P, a, b), S = (L // L_P) * S_P + L // a + L // b
-    and product prod(P) * a * b. Tuples whose lcm equals the bound become
-    equality witnesses.
+    close_pairs and checks all its members in one inner loop: L_P = lcm(P)
+    and S_P = L_P * num // den are taken once from P's sum num/den, whose
+    den is P's product, and each member P + (a, b) gets L = lcm(L_P, a, b),
+    S = (L // L_P) * S_P + L // a + L // b and product den * a * b. Tuples
+    whose lcm equals the bound become equality witnesses.
     The budget counts one node per prefix walk yields (those with two or
     more slots left; for k = 1, the root and its member) and one per pair
     that closes a prefix. When it runs out inside a closing, the pairs
@@ -212,8 +211,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
             if tails:
                 head = tuple(prefix)
                 head_lcm = math.lcm(*prefix)
-                head_sum = head_lcm // den * num
-                head_prod = math.prod(prefix)
+                head_sum = head_lcm * num // den
         elif slots or side:
             continue
         else:  # k = 1: the root's child is the one member, and no pair closes it
@@ -225,7 +223,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
                 a, b = tail
                 lcm_value = math.lcm(head_lcm, a, b)
                 scaled_sum = lcm_value // head_lcm * head_sum + lcm_value // a + lcm_value // b
-                product = head_prod * a * b
+                product = den * a * b
             else:
                 lcm_value = product = t[0]
                 scaled_sum = 1

@@ -141,7 +141,7 @@ _DEEP_EXTREMAL = {
 @pytest.mark.parametrize("kind", ["gap", "lcm"])
 def test_extremal_sums_its_tuple_once(capsys, monkeypatch, kind):
     # only in the constructor's assert: classify_equality matches by
-    # structure, and the reported sum is the value of the matched family
+    # structure, and the reported sum is the one the requested kind fixes
     sums = []
     real = cli.tuple_sum
 

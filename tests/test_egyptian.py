@@ -142,9 +142,9 @@ def _sign(n: int) -> int:
 @example(k=3, low=Fraction(41, 42), extra=Fraction(2))  # the window floor of (3, 2, 1)
 @example(k=5, low=Fraction(5, 2), extra=Fraction(0))  # exact: closings, no leaves
 def test_walk_yields_each_prefix_sum_and_side(k, low, extra):
-    # a leaf's sum may come unreduced, but it is the prefix's sum, and its
-    # side is num*b - a*den as for every prefix; the first 1000 yields
-    # only, since some draws walk for far longer
+    # num/den is the prefix's sum unreduced: den is its product, and side
+    # is num*b - a*den; the first 1000 yields only, since some draws walk
+    # for far longer
     a, b = low.numerator, low.denominator
     for prefix, slots, side, num, den in itertools.islice(
         egyptian.walk(k, low, low + extra), 1000
@@ -154,8 +154,8 @@ def test_walk_yields_each_prefix_sum_and_side(k, low, extra):
         assert Fraction(num, den) == total
         assert side == num * b - a * den
         assert _sign(side) == _sign(total - low)
-        if slots:
-            assert math.gcd(num, den) == 1
+        assert den == math.prod(prefix)
+        assert num == sum(den // m for m in prefix)
 
 
 def _naive_exact(x: Fraction, k: int) -> list[tuple[int, ...]]:

@@ -354,7 +354,8 @@ def _reference_square_check(t, q: int) -> bool:
 def _reference_walk(k: int, low: F, cap: F):
     """egyptian.walk as it read before exact targets closed their last two
     slots by divisors, kept as the reference: every prefix down to the last
-    slot is visited, and each member is a leaf of the last slot's loop."""
+    slot is visited, and each member is a leaf of the last slot's loop.
+    Sums are carried unreduced, as walk carries them."""
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
     prefix: list[int] = []
@@ -367,9 +368,7 @@ def _reference_walk(k: int, low: F, cap: F):
             room = (c * den - num * d, d * den)
             for m in position_range(prev, slots, room, (-side, b * den)):
                 prefix.append(m)
-                child_num, child_den = num * m + den, den * m
-                g = math.gcd(child_num, child_den)
-                yield from visit(m, child_num // g, child_den // g)
+                yield from visit(m, num * m + den, den * m)
                 prefix.pop()
 
     return visit(1, 0, 1)
@@ -378,7 +377,8 @@ def _reference_walk(k: int, low: F, cap: F):
 def _reference_closing_walk(k: int, low: F, cap: F):
     """egyptian.walk as it read before it became one loop over an explicit
     stack, kept as the reference: one nested generator per prefix, with an
-    exact target's last two slots closed by divisors alone."""
+    exact target's last two slots closed by divisors alone. Sums are
+    carried unreduced, as walk carries them."""
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
     close_at = 2 if (a, b) == (c, d) else 0
@@ -399,9 +399,7 @@ def _reference_closing_walk(k: int, low: F, cap: F):
             room = (c * den - num * d, d * den)
             for m in position_range(prev, slots, room, (-side, b * den)):
                 prefix.append(m)
-                child_num, child_den = num * m + den, den * m
-                g = math.gcd(child_num, child_den)
-                yield from visit(m, child_num // g, child_den // g)
+                yield from visit(m, num * m + den, den * m)
                 prefix.pop()
 
     return visit(1, 0, 1)
@@ -412,17 +410,6 @@ def _yields(walker, budget=None):
     return [
         (tuple(prefix), slots, side, num, den)
         for prefix, slots, side, num, den in itertools.islice(walker, budget)
-    ]
-
-
-def _by_value(yields):
-    """_yields with each leaf's (side, num, den) read as (sign of side, sum):
-    walk leaves a leaf's sum unreduced and the reference walks reduce it.
-    A prefix with a slot left keeps its exact (side, num, den)."""
-    return [
-        (t, 0, (side > 0) - (side < 0), F(num, den)) if not slots
-        else (t, slots, side, num, den)
-        for t, slots, side, num, den in yields
     ]
 
 
@@ -508,8 +495,8 @@ def test_max_lcm_walker_matches_reference():
 def test_walk_matches_the_recursive_walk():
     for k, delta, q in WALKER_CELLS:
         bound = sharp_sum_bound(k, delta, q)
-        assert _by_value(_yields(walk(k, bound, k + 1))) == _by_value(
-            _yields(_reference_closing_walk(k, bound, k + 1))
+        assert _yields(walk(k, bound, k + 1)) == _yields(
+            _reference_closing_walk(k, bound, k + 1)
         ), (k, delta, q)
     for k, delta, q in LCM_CELLS + CLASS_CELLS:
         target = k - delta
@@ -524,8 +511,8 @@ def test_walk_matches_the_recursive_walk():
 ])
 def test_walk_matches_the_recursive_walk_when_cut_short(k, low, cap):
     for budget in range(1, 51):
-        assert _by_value(_yields(_closed_walk(k, low, cap), budget)) == _by_value(
-            _yields(_reference_closing_walk(k, low, cap), budget)
+        assert _yields(_closed_walk(k, low, cap), budget) == _yields(
+            _reference_closing_walk(k, low, cap), budget
         ), budget
 
 

@@ -101,13 +101,13 @@ MUTANTS = [
            "lcm_value // head_lcm * head_sum", "head_sum",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("head-product-dropped", ORACLE,
-           "product = head_prod * a * b", "product = a * b",
+           "product = den * a * b", "product = a * b",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("head-lcm-drops-first-entry", ORACLE,
            "head_lcm = math.lcm(*prefix)", "head_lcm = math.lcm(*prefix[1:])",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("head-sum-off", ORACLE,
-           "head_sum = head_lcm // den * num", "head_sum = head_lcm // den * (num + 1)",
+           "head_sum = head_lcm * num // den", "head_sum = head_lcm * (num + 1) // den",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("closing-budget-cut-off-by-one", ORACLE,
            "tails = tails[:budget - nodes]", "tails = tails[:budget - nodes + 1]",
@@ -119,6 +119,13 @@ MUTANTS = [
            "            stack.pop()\n",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_walker_matches_reference")),
+    Mutant("walk-reduces-its-sums", EGYPTIAN,
+           "        num, den = num * m + den, den * m\n",
+           "        num, den = num * m + den, den * m\n"
+           "        g = math.gcd(num, den)\n"
+           "        num, den = num // g, den // g\n",
+           (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
+            T_ORACLE + "test_walk_matches_the_recursive_walk")),
     Mutant("walk-stops-inexact-targets", EGYPTIAN,
            "stop_at = 2 if (a, b) == (c, d) else 0", "stop_at = 2",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
@@ -201,14 +208,14 @@ MUTANTS = [
            "if delta >= 0 and t == _pattern(k, d, 0):", "if t == _pattern(k, d, 0):",
            (T_BOUNDS + "test_classify_gap_families",
             T_BOUNDS + "test_every_tagged_tuple_sums_to_its_familys_value")),
-    # cmd_extremal takes a matched family's sum from the family
+    # cmd_extremal takes its sum from the requested kind
     Mutant("extremal-sums-its-tuple", CLI,
-           "    if family is EqualityFamily.NONE:\n        total = tuple_sum(t)",
-           "    if True:\n        total = tuple_sum(t)",
+           'total = bound if args.kind == "gap" else args.k - args.delta',
+           "total = tuple_sum(t)",
            (T_CLI + "test_extremal_sums_its_tuple_once",)),
     Mutant("extremal-gap-sum-from-class", CLI,
-           "    else:\n        total = sharp_sum_bound(args.k, args.delta, q)",
-           "    else:\n        total = args.k - args.delta",
+           'total = bound if args.kind == "gap" else args.k - args.delta',
+           "total = args.k - args.delta",
            (T_CLI + "test_extremal_sums_its_tuple_once[gap]",)),
 ]
 
