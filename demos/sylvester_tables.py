@@ -20,7 +20,7 @@ for q in (1, 2, 3, 5):
     print(f"q = {q}")
     for p in range(1, 7):
         u = table.u(p)
-        print(f"  u({p}) = {u:<30d} 1 + u({p}) = {table.term(p)}")
+        print(f"  u({p}) = {u:<30d} 1 + u({p}) = {1 + u}")
     print()
 
 # the q = 1 companions are the classic sequence 2, 3, 7, 43, 1807, ...

@@ -291,7 +291,10 @@ def cmd_geometry(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser, built on the first call and reused: parsing leaves
+    no state in it."""
     parser = _Parser(prog="egyfrac", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -356,21 +359,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser main uses, built by build_parser on the first call."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; returns its exit code.
-
-    The parser is built once per process, on the first call, and reused:
-    parsing leaves no state in it. build_parser() itself still returns a
-    fresh parser.
-    """
+    """Run one command with build_parser()'s cached parser; returns its
+    exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
     try:

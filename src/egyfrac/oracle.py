@@ -10,16 +10,10 @@ extremal constructors.
 Both searches iterate egyptian.walk, in lexicographic order, and count
 every prefix it yields as one node against their budget; running out of
 budget is reported as its own failure mode, never as a counterexample.
-The lcm class has an exact target, so walk stops at each prefix with two
-slots left, and max_lcm_search closes it in one step with
-egyptian.close_pairs (two_term_pairs: a direct scan of at most
-SCAN_LIMIT candidates, else divisors): there a node is a prefix with two
-or more slots left or a closed pair. max_lcm_search takes the lcm L_P
-and scaled sum S_P = L_P * num // den of each closed prefix P once, from
-its sum num/den with den = prod(P), and extends them per pair (a, b):
-L = lcm(L_P, a, b), S = (L // L_P) * S_P + L // a + L // b and product
-den * a * b. The window's open interval has no divisor form, so its walk
-visits, and counts, every prefix down to the last slot.
+max_lcm_search's docstring says how it closes the exact class's last two
+slots and what it counts as a node there; the window's open interval has
+no divisor form, so its walk visits, and counts, every prefix down to the
+last slot.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from .bounds import (
 )
 from .egyptian import as_tuple, close_pairs, walk
 from .rationals import canonical_q
-from .report import Counterexample, EqualityWitness, SearchStats, VerificationReport
+from .report import Counterexample, EqualityWitness, VerificationReport
 
 DEFAULT_BUDGET = 10**8
 
@@ -52,15 +46,6 @@ def _check_search(k: int, budget: int) -> None:
 def _witness(t: tuple[int, ...], delta: Fraction, q: int) -> EqualityWitness:
     """t, found at a bound, tagged with its equality family."""
     return EqualityWitness(t, delta, q, classify_equality(t, delta, q).tag.value)
-
-
-def _finish(report: VerificationReport, nodes: int, t0: float,
-            exceeded: bool) -> VerificationReport:
-    """Stamp a finished run's node count, time since t0 and budget flag."""
-    millis = int((time.perf_counter() - t0) * 1000)
-    report.stats = SearchStats(nodes=nodes, millis=millis)
-    report.budget_exceeded = exceeded
-    return report
 
 
 def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -117,7 +102,7 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
                         q,
                     )
                 )
-    return _finish(report, nodes, t0, nodes > budget)
+    return report.finish(nodes, t0, nodes > budget)
 
 
 def lcm_square_check(t, q: int) -> bool:
@@ -247,7 +232,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         "max_lcm": max_lcm if count else None,
         "maximizers": maximizers,
     }
-    return _finish(report, nodes, t0, nodes > budget)
+    return report.finish(nodes, t0, nodes > budget)
 
 
 def _qs_for(delta: Fraction, q_mode: str) -> list[int]:
@@ -352,4 +337,4 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
                         w.q,
                     )
                 )
-    return _finish(report, nodes, t0, exceeded)
+    return report.finish(nodes, t0, exceeded)

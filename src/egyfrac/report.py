@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -46,8 +47,8 @@ class VerificationReport:
 
     Only parameters is required: the lists default to fresh empty lists,
     stats to SearchStats(0, 0). A verifier builds its report before it
-    starts, appends to the lists as it goes, and stamps stats and
-    budget_exceeded when it finishes.
+    starts, appends to the lists as it goes, and returns finish(...), which
+    stamps stats and budget_exceeded.
     """
 
     parameters: dict[str, Any]
@@ -61,12 +62,17 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.counterexamples and not self.budget_exceeded
 
+    def finish(self, nodes: int, t0: float, exceeded: bool) -> VerificationReport:
+        """Stamp a finished run's node count, time since t0 and budget flag."""
+        millis = int((time.perf_counter() - t0) * 1000)
+        self.stats = SearchStats(nodes=nodes, millis=millis)
+        self.budget_exceeded = exceeded
+        return self
+
 
 def _generic(value):
     # mathematical integers travel as decimal strings (they outgrow 64 bits);
     # rationals as 'p/q'; structural ints (k, q, counts) stay JSON numbers
-    if isinstance(value, bool):
-        return value
     if isinstance(value, Fraction):
         return rational_str(value)
     if isinstance(value, (list, tuple)):

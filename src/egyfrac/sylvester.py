@@ -15,7 +15,7 @@ import threading
 import time
 from fractions import Fraction
 
-from .report import Counterexample, SearchStats, VerificationReport
+from .report import Counterexample, VerificationReport
 
 # u(p+1, q) has about twice the bits of u(p, q), so a ceiling on bits stops a
 # runaway index within a few squarings: 2**20 bits admit u(21, 1) (709,033
@@ -54,14 +54,6 @@ class SylvesterTable:
                 self._values.append(last * (last + 1))
             return self._values[p - 1]
 
-    def term(self, p: int) -> int:
-        return 1 + self.u(p)
-
-    def prefix(self, p_max: int) -> list[int]:
-        """u(1, q) .. u(p_max, q) as a list."""
-        self.u(p_max)
-        return self._values[:p_max]
-
 
 _tables: dict[int, SylvesterTable] = {}
 _tables_lock = threading.Lock()
@@ -96,29 +88,22 @@ def check_identities(p_max: int, q_max: int) -> VerificationReport:
     if p_max < 1 or q_max < 1:
         raise ValueError(f"ranges must be positive, got p_max={p_max}, q_max={q_max}")
     t0 = time.perf_counter()
-    counterexamples: list[Counterexample] = []
-    checked = 0
+    report = VerificationReport({"p_max": p_max, "q_max": q_max})
     for q in range(1, q_max + 1):
         table = _shared_table(q)
         total = Fraction(0)
         product = 1
         for p in range(1, p_max + 1):
-            term = table.term(p)
+            term = 1 + table.u(p)
             total += Fraction(1, term)
             product *= term
-            checked += 1
             nxt = table.u(p + 1)
             if total != Fraction(1, q) - Fraction(1, nxt):
-                counterexamples.append(
+                report.counterexamples.append(
                     Counterexample("reciprocal sum identity", (p, q), q=q)
                 )
             if product * q != nxt:
-                counterexamples.append(
+                report.counterexamples.append(
                     Counterexample("companion product identity", (p, q), q=q)
                 )
-    millis = int((time.perf_counter() - t0) * 1000)
-    return VerificationReport(
-        parameters={"p_max": p_max, "q_max": q_max},
-        counterexamples=counterexamples,
-        stats=SearchStats(nodes=checked, millis=millis),
-    )
+    return report.finish(p_max * q_max, t0, False)

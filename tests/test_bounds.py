@@ -115,6 +115,8 @@ def test_extremal_gap_frozen():
     assert extremal_gap_tuple(3, 2, 1) == (2, 3, 7)
     assert extremal_gap_tuple(2, 3, 1) is None  # k < s
     assert extremal_gap_tuple(3, -1, 1) == (1, 1, 1)
+    with pytest.raises(ValueError, match="k must be positive"):
+        extremal_gap_tuple(0, 2, 1)
 
 
 def test_extremal_lcm_frozen():
@@ -125,6 +127,8 @@ def test_extremal_lcm_frozen():
     assert extremal_lcm_tuple(2, 3, 1) is None  # k < s
     with pytest.raises(ValueError):
         extremal_lcm_tuple(3, Fraction(-1, 2), 2)
+    with pytest.raises(ValueError, match="k must be positive"):
+        extremal_lcm_tuple(0, 2, 1)
 
 
 def test_extremal_tuples_stop_at_the_first_entry_r_fails_to_divide():

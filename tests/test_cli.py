@@ -216,6 +216,9 @@ def test_version_and_usage_errors(capsys):
     code, _, err = run(capsys, "greedy", "1.5")
     assert code == 1
     assert "malformed rational" in err
+    code, _, err = run(capsys, "split", "2,x", "--at", "1")
+    assert code == 1
+    assert "argument denominators: expected comma-separated integers, got '2,x'" in err
 
 
 def test_zero_denominator_usage_error(capsys):
@@ -398,6 +401,15 @@ def test_geometry_explicit_threshold(capsys):
     assert code == 0
     assert "gap_bound = 1/42" in out
     assert "index_bound = 6" in out
+    # three ones push the refined bound's deficiency below zero: no value
+    argv = ("geometry", "--dim", "1", "--coeffs", "one,one,one", "--t", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "index_bound = 6" in out
+    assert "refined_index_bound" not in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["refined_index_bound"] is None
 
 
 def test_geometry_bad_coefficient(capsys):
@@ -451,27 +463,19 @@ def test_readme_python_example():
 
 @pytest.fixture
 def fresh_parser():
-    """main's parser cache, emptied before and after the test."""
-    cli._parser.cache_clear()
+    """build_parser's cache, emptied before and after the test."""
+    cli.build_parser.cache_clear()
     yield
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
 
 
-def test_parser_is_built_once_across_calls(capsys, monkeypatch, fresh_parser):
-    builds = []
-    real = cli.build_parser
-
-    def counted():
-        builds.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "build_parser", counted)
+def test_parser_is_built_once_across_calls(capsys, fresh_parser):
     for argv in (["gap", "--delta", "2", "--k", "3"], ["greedy", "5/6"], ["nonsense"],
                  ["--version"], ["lcm-bound", "--delta", "2", "--format", "json"]):
         main(argv)
     capsys.readouterr()
-    assert len(builds) == 1
-    assert real() is not real()  # called directly, it still builds a fresh one
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
 
 
 _ARGS = {

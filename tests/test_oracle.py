@@ -41,6 +41,7 @@ from egyfrac.report import (
     VerificationReport,
     report_to_dict,
 )
+from egyfrac.sylvester import check_identities
 from test_egyptian import _reference_two_term_pairs
 
 F = Fraction
@@ -839,7 +840,24 @@ README_DELTAS = (F(-1), F(0), F(1, 2), F(1))
         "stats": {"nodes": 5},
         "budget_exceeded": True,
     }),
-], ids=["window", "window-budget", "lcm", "readme-sweep", "sweep-budget"])
+    # k - delta = -1: the class is empty, so there is no lcm to report
+    (lambda: max_lcm_search(1, 2, 1), {
+        "passed": True,
+        "parameters": {"k": 1, "delta": "2", "q": 1, "lcm_bound": "6"},
+        "counterexamples": [],
+        "equality_witnesses": [],
+        "stats": {"nodes": 1},
+        "details": {"class_size": 0, "max_lcm": None, "maximizers": []},
+    }),
+    (lambda: check_identities(3, 2), {
+        "passed": True,
+        "parameters": {"p_max": 3, "q_max": 2},
+        "counterexamples": [],
+        "equality_witnesses": [],
+        "stats": {"nodes": 6},
+    }),
+], ids=["window", "window-budget", "lcm", "readme-sweep", "sweep-budget", "lcm-empty",
+        "identities"])
 def test_report_json_is_pinned(run, expected):
     # compared as text, so key order and the optional keys are pinned too
     assert _report_json(run()) == json.dumps(expected)

@@ -60,9 +60,9 @@ def test_first_two_terms_coprime():
 
 def test_table_prefix_and_caching():
     table = SylvesterTable(3)
-    assert table.prefix(4) == [3, 12, 156, 24492]
+    assert [table.u(p) for p in range(1, 5)] == [3, 12, 156, 24492]
     assert table.u(2) == 12  # served from the memo
-    assert table.term(1) == 4
+    assert sylvester_term(1, 3) == 4
 
 
 def test_table_rejects_bad_indices():
@@ -86,7 +86,7 @@ def test_table_refuses_values_past_the_bit_ceiling(monkeypatch):
         table.u(8)
     with pytest.raises(ValueError, match="64-bit ceiling"):
         table.u(10**6)
-    assert table.prefix(7) == [sylvester_u(p, 1) for p in range(1, 8)]
+    assert [table.u(p) for p in range(1, 8)] == [sylvester_u(p, 1) for p in range(1, 8)]
 
 
 def test_identities_hold():
@@ -104,6 +104,28 @@ def test_identities_by_hand():
     assert math.prod(sylvester_term(p, 1) for p in range(1, 4)) == 42
     # seed 5: 1/6 == 1/5 - 1/30
     assert Fraction(1, sylvester_term(1, 5)) == Fraction(1, 5) - Fraction(1, 30)
+
+
+class _OffByOne(SylvesterTable):
+    """A seed-1 table whose u(3, 1) reads 7 instead of 6."""
+
+    def u(self, p):
+        return super().u(p) + (p == 3)
+
+
+def test_check_identities_reports_each_broken_identity(monkeypatch):
+    monkeypatch.setattr(sylvester, "_shared_table", _OffByOne)
+    report = check_identities(4, 1)
+    # u(3, 1) is read as u(p + 1) at p = 2 and through the term at p = 3;
+    # the running sum and product carry the error on to p = 4
+    assert [(c.claim, c.values, c.q) for c in report.counterexamples] == [
+        (claim, (p, 1), 1)
+        for p in (2, 3, 4)
+        for claim in ("reciprocal sum identity", "companion product identity")
+    ]
+    assert report.stats.nodes == 4
+    assert not report.passed
+    assert not report.budget_exceeded
 
 
 def test_check_identities_rejects_empty_ranges():

@@ -41,10 +41,12 @@ ORACLE = "src/egyfrac/oracle.py"
 EGYPTIAN = "src/egyfrac/egyptian.py"
 BOUNDS = "src/egyfrac/bounds.py"
 CLI = "src/egyfrac/cli.py"
+SYLVESTER = "src/egyfrac/sylvester.py"
 T_ORACLE = "tests/test_oracle.py::"
 T_CLI = "tests/test_cli.py::"
 T_BOUNDS = "tests/test_bounds.py::"
 T_EGYPTIAN = "tests/test_egyptian.py::"
+T_SYLVESTER = "tests/test_sylvester.py::"
 _LCM_FAMILIES = """\
         if d.s == 2 and d.r > 1:
             return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
@@ -217,6 +219,14 @@ MUTANTS = [
            'total = bound if args.kind == "gap" else args.k - args.delta',
            "total = args.k - args.delta",
            (T_CLI + "test_extremal_sums_its_tuple_once[gap]",)),
+    # check_identities reports each identity it finds broken
+    Mutant("identity-sum-check-dropped", SYLVESTER,
+           "            if total != Fraction(1, q) - Fraction(1, nxt):",
+           "            if False:",
+           (T_SYLVESTER + "test_check_identities_reports_each_broken_identity",)),
+    Mutant("identity-product-check-dropped", SYLVESTER,
+           "            if product * q != nxt:", "            if False:",
+           (T_SYLVESTER + "test_check_identities_reports_each_broken_identity",)),
 ]
 
 
