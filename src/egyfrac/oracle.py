@@ -116,10 +116,10 @@ def lcm_square_check(t, q: int) -> bool:
     preconditions every maximal prime power in L is contributed at least
     twice among q and the denominators, which is what makes the square fit.
 
-    Both preconditions are checked in integers, membership first. With L
-    the lcm of the m_i and S = sum of L // m_i, the reciprocal sum is S/L, so
-    the shortfall lies in (1/q)Z exactly when L divides q*S; the Fraction
-    shortfall is built only for the error message.
+    Both preconditions are checked in integers, membership first. With P
+    the product of the m_i and N = sum of P // m_i, the reciprocal sum is
+    N/P, so the shortfall lies in (1/q)Z exactly when P divides q*N; the
+    Fraction shortfall is built only for the error message.
 
     >>> lcm_square_check((2, 3, 6), 1)
     True
@@ -127,17 +127,17 @@ def lcm_square_check(t, q: int) -> bool:
     t = as_tuple(t)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    lcm_value = math.lcm(*t)
-    return _square_check(t, q, lcm_value, sum(lcm_value // m for m in t), math.prod(t))
+    product = math.prod(t)
+    return _square_check(t, q, math.lcm(*t), sum(product // m for m in t), product)
 
 
-def _square_check(t, q: int, lcm_value: int, scaled_sum: int, product: int) -> bool:
+def _square_check(t, q: int, lcm_value: int, num: int, product: int) -> bool:
     """lcm_square_check without input validation: t and q must be valid,
-    lcm_value the lcm of t, scaled_sum the sum of lcm_value // m_i and
-    product that of t. Both preconditions are still checked; t is read
-    only for the error message."""
-    if q * scaled_sum % lcm_value:
-        shortfall = len(t) - Fraction(scaled_sum, lcm_value)
+    lcm_value the lcm of t, product that of t and num/product t's sum.
+    Both preconditions are still checked; t is read only for the error
+    message."""
+    if q * num % product:
+        shortfall = len(t) - Fraction(num, product)
         raise ValueError(
             f"tuple is not in a deficiency class mod q={q}: shortfall {shortfall}"
         )
@@ -153,13 +153,11 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     Every enumerated tuple whose lcm the modulus divides (all of them when q
     is canonical) is also run through lcm_square_check's core; walk and
     close_pairs have already proved its class membership, and the check
-    re-verifies it without Fractions. The core takes the member's lcm L,
-    scaled sum S = sum of L // m_i and product as integers. walk stops at
-    each prefix P with two slots left, and the search closes P with
-    close_pairs and checks all its members in one inner loop: L_P = lcm(P)
-    and S_P = L_P * num // den are taken once from P's sum num/den, whose
-    den is P's product, and each member P + (a, b) gets L = lcm(L_P, a, b),
-    S = (L // L_P) * S_P + L // a + L // b and product den * a * b. Tuples
+    re-verifies it without Fractions, on the member's sum as walk carries
+    it: a numerator over the member's product. walk stops at each prefix P
+    with two slots left, and the search closes P with close_pairs and
+    checks all its members in one inner loop, each member P + (a, b) taking
+    P's sum num/den one walk step at a time, through a and then b. Tuples
     whose lcm equals the bound become equality witnesses.
     The budget counts one node per prefix walk yields (those with two or
     more slots left; for k = 1, the root and its member) and one per pair
@@ -181,22 +179,20 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     max_lcm = 0
     count = 0
     nodes = 0
-    cut = False
     # a negative target (delta > k) leaves the root above it: no children
     for prefix, slots, side, num, den in walk(k, target, target):
         nodes += 1
         if nodes > budget:
             break
         if slots == 2 and side < 0:
-            tails = close_pairs(prefix, side, den, target)
-            cut = nodes + len(tails) > budget
-            if cut:  # the budget runs out inside this closing
-                tails = tails[:budget - nodes]
+            # one node per pair; the first pair past the budget is not checked
+            tails = close_pairs(prefix, side, den, target)[:budget - nodes + 1]
             nodes += len(tails)
+            if nodes > budget:
+                tails.pop()
             if tails:
                 head = tuple(prefix)
                 head_lcm = math.lcm(*prefix)
-                head_sum = head_lcm * num // den
         elif slots or side:
             continue
         else:  # k = 1: the root's child is the one member, and no pair closes it
@@ -207,14 +203,14 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
             if k > 1:
                 a, b = tail
                 lcm_value = math.lcm(head_lcm, a, b)
-                scaled_sum = lcm_value // head_lcm * head_sum + lcm_value // a + lcm_value // b
                 product = den * a * b
+                total = num * a * b + den * (a + b)
             else:
-                lcm_value = product = t[0]
-                scaled_sum = 1
+                lcm_value = product = den
+                total = num
             if lcm_value > floor_bound:
                 report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
-            if lcm_value % q == 0 and not _square_check(t, q, lcm_value, scaled_sum, product):
+            if lcm_value % q == 0 and not _square_check(t, q, lcm_value, total, product):
                 report.counterexamples.append(
                     Counterexample("lcm square inequality violated", t, delta, q)
                 )
@@ -224,8 +220,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
                 maximizers.append(t)
             if integral and lcm_value == floor_bound:
                 report.equality_witnesses.append(_witness(t, delta, q))
-        if cut:
-            nodes += 1  # the first pair past the budget
+        if nodes > budget:
             break
     report.details = {
         "class_size": count,

@@ -589,6 +589,20 @@ def test_max_lcm_bound_never_beaten_small_grid():
                 assert report.details["max_lcm"] <= lcm_bound(delta, q)
 
 
+def test_max_lcm_reports_each_square_violation(monkeypatch):
+    # a square check that always fails makes every member of (3, 2, 1) a
+    # counterexample, in class order
+    monkeypatch.setattr(oracle, "_square_check", lambda *args: False)
+    report = max_lcm_search(3, 2, 1)
+    assert not report.passed
+    assert report.counterexamples == [
+        Counterexample("lcm square inequality violated", t, F(2), 1)
+        for t in [(2, 3, 6), (2, 4, 4), (3, 3, 3)]
+    ]
+    assert report.stats.nodes == 7
+    assert report.details["class_size"] == 3
+
+
 def test_max_lcm_rejects_negative_delta():
     with pytest.raises(ValueError):
         max_lcm_search(2, F(-1, 2), 2)
@@ -849,6 +863,35 @@ README_DELTAS = (F(-1), F(0), F(1, 2), F(1))
         "stats": {"nodes": 1},
         "details": {"class_size": 0, "max_lcm": None, "maximizers": []},
     }),
+    # two maximizers tie at the largest lcm, and both are kept in order
+    (lambda: max_lcm_search(2, F(17, 12), 12), {
+        "passed": True,
+        "parameters": {"k": 2, "delta": "17/12", "q": 12, "lcm_bound": "156/7"},
+        "counterexamples": [],
+        "equality_witnesses": [],
+        "stats": {"nodes": 3},
+        "details": {"class_size": 2, "max_lcm": "12",
+                    "maximizers": [["2", "12"], ["3", "4"]]},
+    }),
+    (lambda: max_lcm_search(3, F(23, 10), 10), {
+        "passed": True,
+        "parameters": {"k": 3, "delta": "23/10", "q": 10, "lcm_bound": "12210/7"},
+        "counterexamples": [],
+        "equality_witnesses": [],
+        "stats": {"nodes": 9},
+        "details": {"class_size": 5, "max_lcm": "30",
+                    "maximizers": [["2", "6", "30"], ["3", "3", "30"], ["3", "5", "6"]]},
+    }),
+    # (3, 4, 4) ties (2, 4, 12) only through its first entry: lcm(4, 4) is 4
+    (lambda: max_lcm_search(3, F(13, 6), 6), {
+        "passed": True,
+        "parameters": {"k": 3, "delta": "13/6", "q": 6, "lcm_bound": "1806/5"},
+        "counterexamples": [],
+        "equality_witnesses": [],
+        "stats": {"nodes": 7},
+        "details": {"class_size": 4, "max_lcm": "12",
+                    "maximizers": [["2", "4", "12"], ["3", "4", "4"]]},
+    }),
     (lambda: check_identities(3, 2), {
         "passed": True,
         "parameters": {"p_max": 3, "q_max": 2},
@@ -857,7 +900,7 @@ README_DELTAS = (F(-1), F(0), F(1, 2), F(1))
         "stats": {"nodes": 6},
     }),
 ], ids=["window", "window-budget", "lcm", "readme-sweep", "sweep-budget", "lcm-empty",
-        "identities"])
+        "lcm-ties", "lcm-ties-3", "lcm-ties-head", "identities"])
 def test_report_json_is_pinned(run, expected):
     # compared as text, so key order and the optional keys are pinned too
     assert _report_json(run()) == json.dumps(expected)

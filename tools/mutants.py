@@ -88,31 +88,43 @@ MUTANTS = [
     Mutant("lcm-integral-check-dropped", ORACLE,
            "if integral and lcm_value == floor_bound:", "if lcm_value == floor_bound:",
            (T_ORACLE + "test_max_lcm_bound_between_integers",)),
+    Mutant("maximizer-ties-dropped", ORACLE,
+           "elif lcm_value == max_lcm:", "elif False:",
+           (T_ORACLE + "test_report_json_is_pinned[lcm-ties]",
+            T_ORACLE + "test_report_json_is_pinned[lcm-ties-3]")),
+    Mutant("square-violation-dropped", ORACLE,
+           "if lcm_value % q == 0 and not _square_check(",
+           "if False and not _square_check(",
+           (T_ORACLE + "test_max_lcm_reports_each_square_violation",)),
     Mutant("square-check-divisibility-first", ORACLE,
-           "    if q * scaled_sum % lcm_value:\n",
+           "    if q * num % product:\n",
            "    if lcm_value % q:\n"
            '        raise ValueError(f"q={q} does not divide the tuple lcm {lcm_value}")\n'
-           "    if q * scaled_sum % lcm_value:\n",
+           "    if q * num % product:\n",
            (T_ORACLE + "test_lcm_square_check",)),
     Mutant("square-check-membership-without-q", ORACLE,
-           "    if q * scaled_sum % lcm_value:", "    if scaled_sum % lcm_value:",
+           "    if q * num % product:", "    if num % product:",
            (T_ORACLE + "test_lcm_square_check",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
     # the search's members, each extended from the prefix it closes
-    Mutant("head-sum-not-rescaled", ORACLE,
-           "lcm_value // head_lcm * head_sum", "head_sum",
+    Mutant("member-sum-drops-head", ORACLE,
+           "total = num * a * b + den * (a + b)", "total = den * (a + b)",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("head-product-dropped", ORACLE,
            "product = den * a * b", "product = a * b",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("head-lcm-drops-first-entry", ORACLE,
            "head_lcm = math.lcm(*prefix)", "head_lcm = math.lcm(*prefix[1:])",
-           (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
-    Mutant("head-sum-off", ORACLE,
-           "head_sum = head_lcm * num // den", "head_sum = head_lcm * (num + 1) // den",
+           (T_ORACLE + "test_report_json_is_pinned[lcm-ties-head]",)),
+    Mutant("member-sum-off", ORACLE,
+           "total = num * a * b + den * (a + b)", "total = num * a * b + den * (a + b) + 1",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("closing-budget-cut-off-by-one", ORACLE,
-           "tails = tails[:budget - nodes]", "tails = tails[:budget - nodes + 1]",
+           "[:budget - nodes + 1]", "[:budget - nodes + 2]",
+           (T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
+            T_ORACLE + "test_max_lcm_budget_counts_walker_nodes")),
+    Mutant("closing-budget-pair-past-checked", ORACLE,
+           "            if nodes > budget:\n                tails.pop()\n", "",
            (T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
             T_ORACLE + "test_max_lcm_budget_counts_walker_nodes")),
     # the walker and its two-slot closing
