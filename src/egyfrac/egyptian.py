@@ -276,6 +276,6 @@ def enumerate_deficiency(k: int, delta, q: int) -> list[EgyptianTuple]:
     delta = Fraction(delta)
     srq_decompose(delta, q)  # validates delta >= -1 and q*delta integral
     target = k - delta
-    if target < 0 or target > k:
+    if target < 0:
         return []
     return enumerate_exact(target, k)

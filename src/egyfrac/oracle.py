@@ -19,7 +19,6 @@ last slot.
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 
 from .bounds import (
@@ -73,7 +72,6 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
         }
     )
     top_num, top_den = top.numerator, top.denominator
-    t0 = time.perf_counter()
     nodes = 0
     # cap k + 1 never binds: a child of a prefix P < bound <= k sums to at
     # most P + 1 < k + 1, so its children are every m >= prev up to the
@@ -102,7 +100,7 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
                         q,
                     )
                 )
-    return report.finish(nodes, t0, nodes > budget)
+    return report.finish(nodes, nodes > budget)
 
 
 def lcm_square_check(t, q: int) -> bool:
@@ -174,7 +172,6 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     # the bound's floor, and meets the bound only when the bound is integral
     floor_bound = bound.numerator // bound.denominator
     integral = bound.denominator == 1
-    t0 = time.perf_counter()
     maximizers: list[tuple[int, ...]] = []
     max_lcm = 0
     count = 0
@@ -227,25 +224,29 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         "max_lcm": max_lcm if count else None,
         "maximizers": maximizers,
     }
-    return report.finish(nodes, t0, nodes > budget)
+    return report.finish(nodes, nodes > budget)
 
 
-def _qs_for(delta: Fraction, q_mode: str) -> list[int]:
-    base = canonical_q(delta)
+def _delta_qs(deltas: tuple[Fraction, ...], q_mode: str) -> list[tuple[Fraction, int]]:
+    """Each delta paired with each of its q, q_mode parsed before any delta."""
     if q_mode == "canonical":
-        return [base]
-    if q_mode.startswith("all-upto:"):
-        try:
-            limit = int(q_mode.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed q mode: {q_mode!r}") from None
+        return [(delta, canonical_q(delta)) for delta in deltas]
+    if not q_mode.startswith("all-upto:"):
+        raise ValueError(f"unknown q mode: {q_mode!r}")
+    try:
+        limit = int(q_mode.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"malformed q mode: {q_mode!r}") from None
+    pairs = []
+    for delta in deltas:
+        base = canonical_q(delta)
         if limit < base:
             raise ValueError(
                 f"q mode {q_mode!r} leaves no q for delta={delta}, "
                 f"whose canonical q is {base}"
             )
-        return list(range(base, limit + 1, base))
-    raise ValueError(f"unknown q mode: {q_mode!r}")
+        pairs += [(delta, q) for q in range(base, limit + 1, base)]
+    return pairs
 
 
 def sweep(k_max: int, deltas, q_mode: str = "canonical",
@@ -270,12 +271,8 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
     for d in deltas:
         if d < -1:
             raise ValueError(f"delta must be >= -1, got {d}")
-    cells = [
-        (delta, q, k)
-        for delta in deltas
-        for q in _qs_for(delta, q_mode)
-        for k in range(1, k_max + 1)
-    ]
+    pairs = _delta_qs(deltas, q_mode)
+    cells = [(delta, q, k) for delta, q in pairs for k in range(1, k_max + 1)]
     gap = (window_search, extremal_gap_tuple, "gap")
     lcm = (max_lcm_search, extremal_lcm_tuple, "lcm")
     checks = [
@@ -293,7 +290,6 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
             "cells": len(cells),
         }
     )
-    t0 = time.perf_counter()
     nodes = 0
     exceeded = False
     # a remaining budget of 0 is no valid search budget, so the flag is
@@ -332,4 +328,4 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
                         w.q,
                     )
                 )
-    return report.finish(nodes, t0, exceeded)
+    return report.finish(nodes, exceeded)

@@ -46,9 +46,9 @@ class VerificationReport:
     the counterexample list being empty.
 
     Only parameters is required: the lists default to fresh empty lists,
-    stats to SearchStats(0, 0). A verifier builds its report before it
-    starts, appends to the lists as it goes, and returns finish(...), which
-    stamps stats and budget_exceeded.
+    stats to SearchStats(0, 0). A verifier builds its report first, appends
+    to the lists as it goes, and returns finish(nodes, exceeded), which
+    stamps budget_exceeded and stats, timed from when the report was built.
     """
 
     parameters: dict[str, Any]
@@ -57,14 +57,16 @@ class VerificationReport:
     stats: SearchStats = SearchStats(0, 0)
     budget_exceeded: bool = False
     details: dict[str, Any] = field(default_factory=dict)
+    started: float = field(default_factory=time.perf_counter, init=False, repr=False,
+                           compare=False)
 
     @property
     def passed(self) -> bool:
         return not self.counterexamples and not self.budget_exceeded
 
-    def finish(self, nodes: int, t0: float, exceeded: bool) -> VerificationReport:
-        """Stamp a finished run's node count, time since t0 and budget flag."""
-        millis = int((time.perf_counter() - t0) * 1000)
+    def finish(self, nodes: int, exceeded: bool) -> VerificationReport:
+        """Stamp a finished run's node count, time since started and budget flag."""
+        millis = int((time.perf_counter() - self.started) * 1000)
         self.stats = SearchStats(nodes=nodes, millis=millis)
         self.budget_exceeded = exceeded
         return self

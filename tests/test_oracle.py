@@ -745,6 +745,10 @@ def test_sweep_rejects_bad_config():
         sweep(k_max=2, deltas=(F(0),), q_mode="weird")
     with pytest.raises(ValueError):
         sweep(k_max=2, deltas=(F(0),), q_mode="all-upto:x")
+    with pytest.raises(ValueError, match="^unknown q mode: 'weird'$"):
+        sweep(k_max=3, deltas=(), q_mode="weird")
+    with pytest.raises(ValueError, match="^malformed q mode: 'all-upto:x'$"):
+        sweep(k_max=3, deltas=(), q_mode="all-upto:x")
     with pytest.raises(ValueError):
         sweep(k_max=2, deltas=(F(1), F(1, 2)), q_mode="all-upto:1")
     with pytest.raises(ValueError):
@@ -945,3 +949,12 @@ def test_report_defaults_are_empty_and_unshared():
     a.equality_witnesses.append(EqualityWitness((1,), F(-1), 1, "NEGATIVE_DELTA"))
     assert b.counterexamples == [] and b.equality_witnesses == []
     assert not a.passed and b.passed
+
+
+def test_report_times_its_run_from_when_it_was_built():
+    report = VerificationReport({})
+    report.started -= 1.5
+    assert report.finish(3, False) is report
+    assert report.stats.nodes == 3
+    assert 1500 <= report.stats.millis < 2500
+    assert report.budget_exceeded is False

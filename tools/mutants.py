@@ -42,6 +42,7 @@ EGYPTIAN = "src/egyfrac/egyptian.py"
 BOUNDS = "src/egyfrac/bounds.py"
 CLI = "src/egyfrac/cli.py"
 SYLVESTER = "src/egyfrac/sylvester.py"
+REPORT = "src/egyfrac/report.py"
 T_ORACLE = "tests/test_oracle.py::"
 T_CLI = "tests/test_cli.py::"
 T_BOUNDS = "tests/test_bounds.py::"
@@ -63,7 +64,7 @@ MUTANTS = [
            '            if w.family == "NONE":', "            if False:",
            (T_ORACLE + "test_sweep_reports_unclassified_witnesses",
             T_CLI + "test_oracle_prints_each_counterexample")),
-    Mutant("json-claim-key-renamed", "src/egyfrac/report.py",
+    Mutant("json-claim-key-renamed", REPORT,
            '"claim": c.claim,', '"message": c.claim,',
            (T_CLI + "test_oracle_prints_each_counterexample",)),
     Mutant("text-counterexample-reworded", CLI,
@@ -239,6 +240,10 @@ MUTANTS = [
     Mutant("identity-product-check-dropped", SYLVESTER,
            "            if product * q != nxt:", "            if False:",
            (T_SYLVESTER + "test_check_identities_reports_each_broken_identity",)),
+    # a report times its run from when it was built
+    Mutant("report-clock-restarts-at-finish", REPORT,
+           "time.perf_counter() - self.started", "time.perf_counter() - time.perf_counter()",
+           (T_ORACLE + "test_report_times_its_run_from_when_it_was_built",)),
 ]
 
 
