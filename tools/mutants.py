@@ -43,11 +43,13 @@ BOUNDS = "src/egyfrac/bounds.py"
 CLI = "src/egyfrac/cli.py"
 SYLVESTER = "src/egyfrac/sylvester.py"
 REPORT = "src/egyfrac/report.py"
+MAJORIZATION = "src/egyfrac/majorization.py"
 T_ORACLE = "tests/test_oracle.py::"
 T_CLI = "tests/test_cli.py::"
 T_BOUNDS = "tests/test_bounds.py::"
 T_EGYPTIAN = "tests/test_egyptian.py::"
 T_SYLVESTER = "tests/test_sylvester.py::"
+T_MAJORIZATION = "tests/test_majorization.py::"
 _LCM_FAMILIES = """\
         if d.s == 2 and d.r > 1:
             return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
@@ -244,6 +246,30 @@ MUTANTS = [
     Mutant("report-clock-restarts-at-finish", REPORT,
            "time.perf_counter() - self.started", "time.perf_counter() - time.perf_counter()",
            (T_ORACLE + "test_report_times_its_run_from_when_it_was_built",)),
+    # the dominance kernels on integer pairs, and the generators' exact draws
+    Mutant("prefix-dominance-non-strict", MAJORIZATION,
+           "yn * c, yd * d\n        if xn * yd < yn * xd:", "yn * c, yd * d\n        if xn * yd <= yn * xd:",
+           (T_MAJORIZATION + "test_kernels_match_the_fraction_reference",
+            T_MAJORIZATION + "test_prefix_generator_contract")),
+    Mutant("suffix-sum-drops-a-cross-term", MAJORIZATION,
+           "xn, xd = xn * b + a * xd, xd * b", "xn, xd = xn * b + a, xd * b",
+           (T_MAJORIZATION + "test_kernels_match_the_fraction_reference",
+            T_MAJORIZATION + "test_suffix_generator_contract")),
+    Mutant("conclusion-equality-unreachable", MAJORIZATION,
+           "    if ax == ay:\n", "    if False:\n",
+           (T_MAJORIZATION + "test_kernels_match_the_fraction_reference",
+            T_MAJORIZATION + "test_prefix_generator_contract",
+            T_MAJORIZATION + "test_suffix_generator_contract")),
+    Mutant("shrink-by-halves", MAJORIZATION,
+           "y = [(a * shrink, b * 4) for a, b in y]", "y = [(a * shrink, b * 2) for a, b in y]",
+           (T_MAJORIZATION + "test_generators_match_the_fraction_reference[prefix]",)),
+    Mutant("suffix-moves-truncate", MAJORIZATION,
+           "_DEN = 12 * 4**_MOVES", "_DEN = 12",
+           (T_MAJORIZATION + "test_generators_match_the_fraction_reference[suffix]",
+            T_MAJORIZATION + "test_generator_golden_pairs")),
+    Mutant("float-entries-accepted", MAJORIZATION,
+           "    if isinstance(entry, float):\n", "    if False:\n",
+           (T_MAJORIZATION + "test_floats_are_refused",)),
 ]
 
 
