@@ -14,13 +14,14 @@ companion terms, constructed here, and only by those tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
 from .egyptian import EgyptianTuple, as_tuple, tuple_lcm, tuple_sum
-from .rationals import SRQ, srq_decompose
+from .rationals import SRQ, as_rational, reduced, srq_decompose
 from .sylvester import sylvester_u
 
 
@@ -52,14 +53,26 @@ def gap_amount(delta, q: int) -> Fraction:
     Fraction(1, 42)
     """
     d = srq_decompose(delta, q)
-    return Fraction(d.r, sylvester_u(d.s + 1, q))
+    u = sylvester_u(d.s + 1, q)
+    return reduced(d.r, u, math.gcd(d.r, u))
 
 
 def sharp_sum_bound(k: int, delta, q: int) -> Fraction:
-    """Largest reciprocal sum a k-tuple can attain strictly below k - delta."""
+    """Largest reciprocal sum a k-tuple can attain strictly below k - delta.
+
+    With u = u(s+1, q), the bound is (k - s) + r/q - r/u = m/(q*u), where
+    m = ((k - s)*q + r)*u - r*q. It is reduced by q*gcd(r*q, u), a gcd
+    taken against the small r*q: m/q = (k - s)*u + r*(W - 1) with W = u/q,
+    the product of the 1 + u(i, q) for i <= s, so W = 1 (mod q) and W is
+    coprime to q and to W - 1; hence gcd(m/q, u) = gcd(r*(W - 1), q*W)
+    = q*gcd(r, W) = gcd(r*q, u).
+    """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return k - Fraction(delta) - gap_amount(delta, q)
+    d = srq_decompose(delta, q)
+    u = sylvester_u(d.s + 1, q)
+    m = ((k - d.s) * q + d.r) * u - d.r * q
+    return reduced(m, q * u, q * math.gcd(d.r * q, u))
 
 
 def lcm_bound(delta, q: int) -> Fraction:
@@ -68,11 +81,12 @@ def lcm_bound(delta, q: int) -> Fraction:
     Defined only for delta >= 0: below that s = 0, where u is undefined, and
     the class of tuples is empty anyway. Negative delta is a hard error.
     """
-    delta = Fraction(delta)
-    if delta < 0:
+    delta = as_rational(delta)
+    if delta.numerator < 0:
         raise ValueError(f"lcm bound requires delta >= 0, got {delta}")
     d = srq_decompose(delta, q)
-    return Fraction(sylvester_u(d.s, q), d.r)
+    u = sylvester_u(d.s, q)
+    return reduced(u, d.r, math.gcd(d.r, u))
 
 
 def _pattern(k: int, d: SRQ, closing: int) -> EgyptianTuple | None:
@@ -119,8 +133,8 @@ def extremal_lcm_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    delta = Fraction(delta)
-    if delta < 0:
+    delta = as_rational(delta)
+    if delta.numerator < 0:
         raise ValueError(f"extremal lcm tuple requires delta >= 0, got {delta}")
     t = _pattern(k, srq_decompose(delta, q), 0)
     if t is not None:
@@ -142,27 +156,27 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     is NONE if it matches neither. The gap pattern's sum lies below
     k - delta by a positive gap, so no tuple is in both families.
 
-    Gap families by delta range: NEGATIVE_DELTA (all ones), FRACTIONAL_DELTA
-    (0 <= delta < 1, single tail term (1+q)/r), SYLVESTER_GAP (delta >= 1).
+    Gap families by delta range, read from s = floor(delta) + 1:
+    NEGATIVE_DELTA (s = 0: all ones), FRACTIONAL_DELTA (s = 1,
+    0 <= delta < 1: single tail term (1+q)/r), SYLVESTER_GAP (s >= 2).
     Lcm families: TWO_TERM_LCM for s = 2 with r > 1, else SYLVESTER_LCM.
     """
     t = as_tuple(t)
-    delta = Fraction(delta)
     d = srq_decompose(delta, q)
     k = len(t)
     if k == 0:
         return EqualityCase(EqualityFamily.NONE)
 
-    if delta >= 0 and t == _pattern(k, d, 0):
+    if d.s > 0 and t == _pattern(k, d, 0):
         if d.s == 2 and d.r > 1:
             return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
         return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
 
     if t == _pattern(k, d, 1):
-        if delta < 0:
-            return EqualityCase(EqualityFamily.NEGATIVE_DELTA, t)
-        if delta < 1:
+        if d.s > 1:
+            return EqualityCase(EqualityFamily.SYLVESTER_GAP, t)
+        if d.s == 1:
             return EqualityCase(EqualityFamily.FRACTIONAL_DELTA, t)
-        return EqualityCase(EqualityFamily.SYLVESTER_GAP, t)
+        return EqualityCase(EqualityFamily.NEGATIVE_DELTA, t)
 
     return EqualityCase(EqualityFamily.NONE)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .rationals import srq_decompose
+from .rationals import as_rational, srq_decompose
 
 EgyptianTuple = tuple[int, ...]
 
@@ -48,7 +48,7 @@ def greedy(x) -> EgyptianTuple:
     >>> greedy(Fraction(5, 6))
     (2, 3)
     """
-    x = Fraction(x)
+    x = as_rational(x)
     if x < 0:
         raise ValueError(f"greedy needs a nonnegative input, got {x}")
     out = []
@@ -242,7 +242,7 @@ def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
     The target is exact, so walk stops two slots short, and each prefix it
     yields there is completed by the pairs close_pairs returns.
     """
-    x = Fraction(x)
+    x = as_rational(x)
     if x < 0:
         raise ValueError(f"target sum must be nonnegative, got {x}")
     if k < 0:
@@ -273,7 +273,7 @@ def enumerate_deficiency(k: int, delta, q: int) -> list[EgyptianTuple]:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     srq_decompose(delta, q)  # validates delta >= -1 and q*delta integral
     target = k - delta
     if target < 0:

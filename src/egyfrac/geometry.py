@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import gap_amount, lcm_bound
-from .rationals import canonical_q
+from .rationals import as_rational, canonical_q
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def deficiency(ls: LogStructure) -> Fraction:
 def _threshold(dim: int, t) -> Fraction:
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    t = Fraction(t)
+    t = as_rational(t)
     if t < 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
     return t

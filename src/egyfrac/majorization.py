@@ -20,22 +20,16 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
+from .rationals import as_rational
+
 PositiveSequence = tuple[Fraction, ...]
 Pairs = list[tuple[int, int]]
-
-
-def _rational(entry) -> Fraction:
-    if type(entry) is Fraction:
-        return entry
-    if isinstance(entry, float):
-        raise ValueError(f"entries must be exact, got the float {entry!r}")
-    return Fraction(entry)
 
 
 def _validated(entries: Iterable) -> tuple[PositiveSequence, Pairs]:
     """The entries as Fractions and as (num, den) pairs, checked positive
     and nonincreasing; den > 0, so both checks are integer ones."""
-    xs = tuple(_rational(e) for e in entries)
+    xs = tuple(as_rational(e) for e in entries)
     pairs = [v.as_integer_ratio() for v in xs]
     prev_n, prev_d = 1, 0  # +infinity: the first entry never steps up
     for v, (n, d) in zip(xs, pairs):

@@ -29,7 +29,7 @@ from .bounds import (
     sharp_sum_bound,
 )
 from .egyptian import as_tuple, close_pairs, walk
-from .rationals import canonical_q
+from .rationals import as_rational, canonical_q
 from .report import Counterexample, EqualityWitness, VerificationReport
 
 DEFAULT_BUDGET = 10**8
@@ -59,9 +59,11 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
     which keeps the tree finite.
     """
     _check_search(k, budget)
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     bound = sharp_sum_bound(k, delta, q)
-    top = k - delta
+    top_den = delta.denominator
+    top_num = k * top_den - delta.numerator
+    top = Fraction(top_num, top_den)
     report = VerificationReport(
         {
             "k": k,
@@ -71,7 +73,6 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
             "window_top": top,
         }
     )
-    top_num, top_den = top.numerator, top.denominator
     nodes = 0
     # cap k + 1 never binds: a child of a prefix P < bound <= k sums to at
     # most P + 1 < k + 1, so its children are every m >= prev up to the
@@ -123,7 +124,7 @@ def lcm_square_check(t, q: int) -> bool:
     True
     """
     t = as_tuple(t)
-    if not isinstance(q, int) or q < 1:
+    if type(q) is not int or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
     product = math.prod(t)
     return _square_check(t, q, math.lcm(*t), sum(product // m for m in t), product)
@@ -164,9 +165,9 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     counted. Requires delta >= 0.
     """
     _check_search(k, budget)
-    delta = Fraction(delta)
+    delta = as_rational(delta)
     bound = lcm_bound(delta, q)  # validates delta >= 0 and q
-    target = k - delta
+    target = Fraction(k * delta.denominator - delta.numerator, delta.denominator)
     report = VerificationReport({"k": k, "delta": delta, "q": q, "lcm_bound": bound})
     # an lcm is an integer, so it exceeds the bound exactly when it exceeds
     # the bound's floor, and meets the bound only when the bound is integral
@@ -267,7 +268,7 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    deltas = tuple(Fraction(d) for d in deltas)
+    deltas = tuple(as_rational(d) for d in deltas)
     for d in deltas:
         if d < -1:
             raise ValueError(f"delta must be >= -1, got {d}")

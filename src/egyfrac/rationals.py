@@ -2,15 +2,18 @@
 
 Every rational this package takes or returns is a `fractions.Fraction`:
 stored reduced, denominator positive, so equality is structural and values
-hash cleanly. There is no floating point anywhere.
+hash cleanly. There is no floating point anywhere: a float input is
+refused, not converted.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # wire format: optional sign, digits, optional '/digits' -- no floats
 _RATIONAL_FORMAT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -23,21 +26,55 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)  # raises ZeroDivisionError on 'p/0'
 
 
+def as_rational(x) -> Fraction:
+    """x as a Fraction: x itself if it is one, else anything `Fraction`
+    takes, such as an int or the string "3/2". Floats are refused, since
+    they are not exact."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"rationals must be exact, got the float {x!r}")
+    return Fraction(x)
+
+
+class _LowestTerms(NamedTuple):
+    numerator: int
+    denominator: int
+
+
+# numbers.Rational defines numerator and denominator to be in lowest terms,
+# and Fraction(x) of a Rational x copies them as they are
+numbers.Rational.register(_LowestTerms)
+
+
+def reduced(num: int, den: int, g: int) -> Fraction:
+    """num/den as a Fraction, for den > 0 and g = gcd(num, den).
+
+    Fraction(num, den) finds g itself and divides by it even when it is 1:
+    for num and den the size of a Sylvester value u(s, q), that gcd costs
+    more than the bound it reduces. Callers find g against a small operand
+    instead, and the division happens only when g > 1.
+    """
+    if g > 1:
+        num, den = num // g, den // g
+    return Fraction(_LowestTerms(num, den))
+
+
 def rational_str(x) -> str:
     """Wire format for a rational: '3', '-5/6'. Denominator 1 prints bare."""
-    return str(Fraction(x))
+    return str(as_rational(x))
 
 
 def floor_frac(x) -> tuple[int, Fraction]:
     """Split x into (floor, fractional part), with 0 <= frac < 1 exactly."""
-    x = Fraction(x)
+    x = as_rational(x)
     fl = math.floor(x)
     return fl, x - fl
 
 
 def canonical_q(x) -> int:
     """Smallest positive q with q*x an integer: the reduced denominator."""
-    return Fraction(x).denominator
+    return as_rational(x).denominator
 
 
 @dataclass(frozen=True)
@@ -67,17 +104,23 @@ class SRQ:
 
 
 def srq_decompose(delta, q: int) -> SRQ:
-    """Write delta = s - r/q. Requires delta >= -1 and q*delta integral."""
-    delta = Fraction(delta)
-    if not isinstance(q, int) or q < 1:
+    """Write delta = s - r/q. Requires delta >= -1 and q*delta integral.
+
+    On delta = n/d in lowest terms, in integers: delta >= -1 is n >= -d;
+    q*delta = q*n/d is an integer exactly when d divides q, since n is
+    coprime to d; s = floor(delta) + 1 = n // d + 1; and r = q*(s - delta)
+    = q*(s*d - n)/d, exact because d divides q.
+    """
+    delta = as_rational(delta)
+    if type(q) is not int or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    if delta < -1:
+    n, d = delta.numerator, delta.denominator
+    if n < -d:
         raise ValueError(f"delta must be >= -1, got {delta}")
-    if (q * delta).denominator != 1:
+    if q % d:
         raise ValueError(f"q*delta must be an integer, got q={q}, delta={delta}")
-    fl, frac = floor_frac(delta)
-    r = q * (1 - frac)  # exact integer since q*delta is integral
-    return SRQ(s=fl + 1, r=int(r), q=q)
+    s = n // d + 1
+    return SRQ(s=s, r=q * (s * d - n) // d, q=q)
 
 
 def near_one_check(n: int, p: int, q: int) -> bool:

@@ -32,7 +32,7 @@ class SylvesterTable:
     """
 
     def __init__(self, q: int):
-        if not isinstance(q, int) or q < 1:
+        if type(q) is not int or q < 1:
             raise ValueError(f"seed q must be a positive integer, got {q!r}")
         self.q = q
         self._values = [q]
@@ -68,7 +68,7 @@ def _shared_table(q: int) -> SylvesterTable:
 
 def sylvester_u(p: int, q: int) -> int:
     """u(p, q): the doubly exponential core sequence, memoized per seed."""
-    if not isinstance(q, int) or q < 1:
+    if type(q) is not int or q < 1:
         raise ValueError(f"seed q must be a positive integer, got {q!r}")
     return _shared_table(q).u(p)
 

@@ -19,7 +19,7 @@ from egyfrac.bounds import (
     sharp_sum_bound,
 )
 from egyfrac.egyptian import as_tuple, enumerate_deficiency, tuple_lcm, tuple_sum
-from egyfrac.rationals import floor_frac, srq_decompose
+from egyfrac.rationals import SRQ, floor_frac, srq_decompose
 from egyfrac.sylvester import sylvester_u
 
 # (delta, canonical q) grid reused below; every q*delta is integral
@@ -527,3 +527,88 @@ def test_constructors_still_assert_the_bounds(monkeypatch):
         extremal_gap_tuple(3, 2, 1)
     with pytest.raises(AssertionError):
         extremal_lcm_tuple(3, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction versions of the decomposition and the three bounds, as they
+# read before they moved to integer pairs, kept as the reference: the same
+# values as the same reduced Fractions, and the same ValueError texts
+
+
+def _reference_srq(delta, q):
+    delta = Fraction(delta)
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(f"q must be a positive integer, got {q!r}")
+    if delta < -1:
+        raise ValueError(f"delta must be >= -1, got {delta}")
+    if (q * delta).denominator != 1:
+        raise ValueError(f"q*delta must be an integer, got q={q}, delta={delta}")
+    fl = math.floor(delta)
+    r = q * (1 - (delta - fl))
+    return SRQ(s=fl + 1, r=int(r), q=q)
+
+
+def _reference_gap(delta, q):
+    d = _reference_srq(delta, q)
+    return Fraction(d.r, sylvester_u(d.s + 1, q))
+
+
+def _reference_sharp(k, delta, q):
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return k - Fraction(delta) - _reference_gap(delta, q)
+
+
+def _reference_lcm_bound(delta, q):
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError(f"lcm bound requires delta >= 0, got {delta}")
+    d = _reference_srq(delta, q)
+    return Fraction(sylvester_u(d.s, q), d.r)
+
+
+def _result(f, *args):
+    """f's value with the types of its parts, or the text of its ValueError.
+
+    Fraction equality compares numerators and denominators, so equal
+    results are equally reduced."""
+    try:
+        v = f(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+    if type(v) is SRQ:
+        return (v, type(v.s), type(v.r))
+    return (type(v), v.numerator, v.denominator, type(v.numerator), type(v.denominator))
+
+
+def _assert_matches_the_reference(k, delta, q):
+    for new, old in ((srq_decompose, _reference_srq), (gap_amount, _reference_gap),
+                     (lcm_bound, _reference_lcm_bound)):
+        assert _result(new, delta, q) == _result(old, delta, q), (new.__name__, delta, q)
+    assert _result(sharp_sum_bound, k, delta, q) == _result(_reference_sharp, k, delta, q), (
+        k, delta, q)
+
+
+@pytest.mark.parametrize("q", range(-1, 13))
+def test_decomposition_and_bounds_match_the_fraction_reference(q):
+    # delta = j/6 from -7/6 (refused) to 20: q is a multiple of the canonical
+    # q, leaves q*delta fractional, or is 0 or negative (refused); the
+    # deepest cells pass the Sylvester ceiling and are refused alike
+    for j in range(-7, 121):
+        for k in (0, 1, 4):
+            _assert_matches_the_reference(k, Fraction(j, 6), q)
+
+
+@pytest.mark.parametrize("delta, q", DEEP_CELLS + [(d, 2 * q) for d, q in DEEP_CELLS])
+def test_bounds_match_the_fraction_reference_on_deep_cells(delta, q):
+    s = srq_decompose(delta, q).s
+    for k in (s, s + 2):
+        _assert_matches_the_reference(k, delta, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(den=st.integers(1, 12), q=st.integers(-1, 40), k=st.integers(0, 12),
+       as_text=st.booleans(), data=st.data())
+def test_bounds_match_the_fraction_reference_on_random_input(den, q, k, as_text, data):
+    delta = Fraction(data.draw(st.integers(-2 * den, 24 * den)), den)
+    _assert_matches_the_reference(k, str(delta) if as_text else delta, q)

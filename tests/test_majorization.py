@@ -137,7 +137,7 @@ def test_conclusions_accept_empty_pair():
 
 def test_floats_are_refused():
     for bad in ([1.5], [3, 0.5], [2, F(3, 2), 1.0]):
-        with pytest.raises(ValueError, match=r"entries must be exact, got the float"):
+        with pytest.raises(ValueError, match=r"rationals must be exact, got the float"):
             positive_sequence(bad)
     with pytest.raises(ValueError, match=r"the float 0\.25"):
         prefix_product_dominates((1, 1), (1, 0.25))

@@ -1,5 +1,6 @@
 """Exact arithmetic helpers and the shortfall decomposition."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,15 +8,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from egyfrac.bounds import (
+    classify_equality,
+    extremal_gap_tuple,
+    extremal_lcm_tuple,
+    gap_amount,
+    lcm_bound,
+    sharp_sum_bound,
+)
+from egyfrac.egyptian import enumerate_deficiency, enumerate_exact, greedy
+from egyfrac.geometry import gap_bound, index_bound, refined_index_bound
+from egyfrac.oracle import lcm_square_check, max_lcm_search, sweep, window_search
 from egyfrac.rationals import (
     SRQ,
+    as_rational,
     canonical_q,
     floor_frac,
     near_one_check,
     parse_rational,
     rational_str,
+    reduced,
     srq_decompose,
 )
+from egyfrac.sylvester import SylvesterTable, sylvester_u
 
 
 def test_parse_rational_grammar():
@@ -122,6 +137,86 @@ def test_srq_decompose_round_trip_property(q, data):
     assert d.delta == delta
     assert d.q == q
     assert 1 <= d.r <= q
+
+
+def test_srq_decompose_formula_cases():
+    # n < -d refuses exactly the delta below -1
+    assert srq_decompose(Fraction(-1), 1) == SRQ(s=0, r=1, q=1)
+    with pytest.raises(ValueError, match=r"delta must be >= -1, got -7/6"):
+        srq_decompose(Fraction(-7, 6), 6)
+    # q % d refuses exactly the q that leave q*delta fractional
+    assert srq_decompose(Fraction(5, 6), 12) == SRQ(s=1, r=2, q=12)
+    with pytest.raises(ValueError, match=r"got q=9, delta=5/6"):
+        srq_decompose(Fraction(5, 6), 9)
+    # r = q*(s*d - n)/d, from 1 up to q
+    assert srq_decompose(Fraction(5, 2), 2) == SRQ(s=3, r=1, q=2)
+    assert srq_decompose(Fraction(7, 3), 3) == SRQ(s=3, r=2, q=3)
+    assert srq_decompose(Fraction(-2, 3), 6) == SRQ(s=0, r=4, q=6)
+    assert srq_decompose(Fraction(2), 5) == SRQ(s=3, r=5, q=5)
+    assert srq_decompose(Fraction(11, 5), 5) == SRQ(s=3, r=4, q=5)
+
+
+def test_reduced_builds_the_fraction_in_lowest_terms():
+    for num, den in ((6, 4), (-6, 4), (0, 5), (7, 1), (3 * 10**40, 9 * 10**41 + 3)):
+        x = reduced(num, den, math.gcd(num, den))
+        assert type(x) is Fraction and x == Fraction(num, den)
+        assert (x.numerator, x.denominator) == Fraction(num, den).as_integer_ratio()
+        assert type(x.numerator) is int and type(x.denominator) is int
+
+
+def test_as_rational_keeps_a_fraction_and_converts_the_rest():
+    x = Fraction(3, 2)
+    assert as_rational(x) is x
+    assert as_rational(3) == Fraction(3) and type(as_rational(3)) is Fraction
+    assert as_rational("-5/6") == Fraction(-5, 6)
+
+
+FLOAT_CALLS = [
+    (srq_decompose, (0.5, 2)),
+    (rational_str, (0.5,)),
+    (canonical_q, (0.5,)),
+    (floor_frac, (0.5,)),
+    (gap_amount, (0.5, 2)),
+    (sharp_sum_bound, (3, 0.5, 2)),
+    (lcm_bound, (0.5, 2)),
+    (extremal_gap_tuple, (3, 0.5, 2)),
+    (extremal_lcm_tuple, (3, 0.5, 2)),
+    (classify_equality, ((1, 1, 3), 0.5, 2)),
+    (greedy, (0.5,)),
+    (enumerate_exact, (0.5, 2)),
+    (enumerate_deficiency, (3, 0.5, 2)),
+    (gap_bound, (1, 0.5, 2)),
+    (index_bound, (1, 0.5, 2)),
+    (refined_index_bound, (1, 0, 0.5, 2)),
+    (window_search, (2, 0.5, 2)),
+    (max_lcm_search, (2, 0.5, 2)),
+    (sweep, (2, [0.5])),
+]
+
+
+@pytest.mark.parametrize("f, args", FLOAT_CALLS, ids=[f.__name__ for f, _ in FLOAT_CALLS])
+def test_floats_are_refused(f, args):
+    with pytest.raises(ValueError, match=r"rationals must be exact, got the float 0\.5"):
+        f(*args)
+
+
+BOOL_Q_CALLS = [
+    (srq_decompose, (1, True)),
+    (gap_amount, (1, True)),
+    (sharp_sum_bound, (3, 1, True)),
+    (lcm_bound, (1, True)),
+    (window_search, (3, 1, True)),
+    (max_lcm_search, (3, 1, True)),
+    (lcm_square_check, ((2, 3, 6), True)),
+    (sylvester_u, (3, True)),
+    (SylvesterTable, (True,)),
+]
+
+
+@pytest.mark.parametrize("f, args", BOOL_Q_CALLS, ids=[f.__name__ for f, _ in BOOL_Q_CALLS])
+def test_bool_q_is_refused(f, args):
+    with pytest.raises(ValueError, match=r"q must be a positive integer, got True"):
+        f(*args)
 
 
 def test_near_one_examples():

@@ -44,12 +44,14 @@ CLI = "src/egyfrac/cli.py"
 SYLVESTER = "src/egyfrac/sylvester.py"
 REPORT = "src/egyfrac/report.py"
 MAJORIZATION = "src/egyfrac/majorization.py"
+RATIONALS = "src/egyfrac/rationals.py"
 T_ORACLE = "tests/test_oracle.py::"
 T_CLI = "tests/test_cli.py::"
 T_BOUNDS = "tests/test_bounds.py::"
 T_EGYPTIAN = "tests/test_egyptian.py::"
 T_SYLVESTER = "tests/test_sylvester.py::"
 T_MAJORIZATION = "tests/test_majorization.py::"
+T_RATIONALS = "tests/test_rationals.py::"
 _LCM_FAMILIES = """\
         if d.s == 2 and d.r > 1:
             return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
@@ -222,9 +224,39 @@ MUTANTS = [
            (T_BOUNDS + "test_classify_gap_families",
             T_BOUNDS + "test_classify_lcm_families")),
     Mutant("classify-delta-guard-dropped", BOUNDS,
-           "if delta >= 0 and t == _pattern(k, d, 0):", "if t == _pattern(k, d, 0):",
+           "if d.s > 0 and t == _pattern(k, d, 0):", "if t == _pattern(k, d, 0):",
            (T_BOUNDS + "test_classify_gap_families",
             T_BOUNDS + "test_every_tagged_tuple_sums_to_its_familys_value")),
+    Mutant("classify-fractional-takes-negative", BOUNDS,
+           "        if d.s == 1:", "        if d.s <= 1:",
+           (T_BOUNDS + "test_classify_gap_families",)),
+    # the decomposition and the bounds on integer pairs
+    Mutant("srq-refuses-delta-minus-one", RATIONALS,
+           "    if n < -d:", "    if n <= -d:",
+           (T_RATIONALS + "test_srq_decompose_formula_cases",
+            T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference")),
+    Mutant("srq-integrality-test-dropped", RATIONALS,
+           "    if q % d:\n", "    if False:\n",
+           (T_RATIONALS + "test_srq_decompose_formula_cases",
+            T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference")),
+    Mutant("srq-r-off-by-one", RATIONALS,
+           "r=q * (s * d - n) // d", "r=q * (s * d - n) // d + 1",
+           (T_RATIONALS + "test_srq_decompose_formula_cases",
+            T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference")),
+    Mutant("sharp-bound-gcd-without-q", BOUNDS,
+           "q * math.gcd(d.r * q, u)", "math.gcd(d.r * q, u)",
+           (T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference",
+            T_BOUNDS + "test_bounds_match_the_fraction_reference_on_random_input")),
+    Mutant("gap-amount-unreduced", BOUNDS,
+           "reduced(d.r, u, math.gcd(d.r, u))", "reduced(d.r, u, 1)",
+           (T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference",)),
+    Mutant("float-rationals-accepted", RATIONALS,
+           "    if isinstance(x, float):\n", "    if False:\n",
+           (T_RATIONALS + "test_floats_are_refused",
+            T_MAJORIZATION + "test_floats_are_refused")),
+    Mutant("bool-q-accepted", RATIONALS,
+           "    if type(q) is not int or q < 1:", "    if not isinstance(q, int) or q < 1:",
+           (T_RATIONALS + "test_bool_q_is_refused[srq_decompose]",)),
     # cmd_extremal takes its sum from the requested kind
     Mutant("extremal-sums-its-tuple", CLI,
            'total = bound if args.kind == "gap" else args.k - args.delta',
@@ -267,9 +299,6 @@ MUTANTS = [
            "_DEN = 12 * 4**_MOVES", "_DEN = 12",
            (T_MAJORIZATION + "test_generators_match_the_fraction_reference[suffix]",
             T_MAJORIZATION + "test_generator_golden_pairs")),
-    Mutant("float-entries-accepted", MAJORIZATION,
-           "    if isinstance(entry, float):\n", "    if False:\n",
-           (T_MAJORIZATION + "test_floats_are_refused",)),
 ]
 
 
