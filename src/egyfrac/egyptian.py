@@ -7,7 +7,6 @@ integers with sum of 1/m_i equal to x; denominators may repeat and may be 1.
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -21,7 +20,7 @@ def as_tuple(denominators: Iterable[int]) -> EgyptianTuple:
     """Validate and freeze a nondecreasing tuple of positive denominators."""
     t = tuple(denominators)
     for i, m in enumerate(t):
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ValueError(f"denominators must be positive integers, got {m!r}")
         if i and m < t[i - 1]:
             raise ValueError(f"denominators must be nondecreasing, got {t}")
@@ -132,21 +131,15 @@ def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
             for x in range(p * lo - q, p * hi - q + 1, p)
             if square % x == 0
         ]
-    divisors = [1]  # the divisors of q^2 up to q, kept sorted
+    divisors = [1]  # the divisors of q^2 up to q, unsorted
     for prime, e in _prime_factors(q).items():
-        grown = divisors[:]
-        power = 1
-        for _ in range(2 * e):
-            power *= prime
-            end = bisect.bisect_right(divisors, q // power)
-            if not end:
-                break
-            grown += [d * power for d in divisors[:end]]
-        divisors = sorted(grown)
+        # each power w of prime, with the largest divisor it may multiply
+        powers = [(w, q // w) for w in (prime**i for i in range(2 * e + 1))]
+        divisors = [d * w for w, most in powers for d in divisors if d <= most]
+    residue, least = -q % p, prev * p - q
     return [
         ((x + q) // p, (square // x + q) // p)
-        for x in divisors[bisect.bisect_left(divisors, prev * p - q):]
-        if (x + q) % p == 0
+        for x in sorted([x for x in divisors if x >= least and x % p == residue])
     ]
 
 
@@ -175,8 +168,11 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     The walk is one loop over an explicit stack, without recursion, so a
     prefix costs the same at every depth. A prefix below low with one slot
     left pushes no level: its leaves come from one inner loop, which does
-    not go through the stack, so a leaf costs less than a prefix with a
-    slot left.
+    not go through the stack. Under a prefix (side, num, den) with low =
+    a/b, leaf m has side m*side + b*den and sum (num*m + den)/(den*m), all
+    linear in m, so each leaf after the first adds the prefix's side, num
+    and den to the last leaf's: three additions and no multiplication,
+    which makes a leaf the cheapest node.
     """
     a, b = low.numerator, low.denominator
     c, d = cap.numerator, cap.denominator
@@ -196,16 +192,20 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
         if side < 0 and slots and slots != stop_at:
             room = (c * den - num * d, d * den)
             children = position_range(m, slots, room, (-side, b * den))
-            prefix.append(0)
-            if slots == 1:
-                # the leaves: no stack level
-                bd = b * den
-                for m in children:
-                    prefix[-1] = m
-                    yield prefix, 0, m * side + bd, num * m + den, den * m
-                prefix.pop()
-            else:
+            if slots > 1:
+                prefix.append(0)
                 stack.append((iter(children), num, den))
+            elif children:
+                # the leaves, with no stack level, each stepped from the last
+                m = children.start
+                leaf_side, leaf_num, leaf_den = m * side + b * den, num * m + den, den * m
+                prefix.append(m)
+                for prefix[-1] in children:
+                    yield prefix, 0, leaf_side, leaf_num, leaf_den
+                    leaf_side += side
+                    leaf_num += num
+                    leaf_den += den
+                prefix.pop()
         # on to the next child of the deepest open level; none left: done
         while stack:
             children, num, den = stack[-1]

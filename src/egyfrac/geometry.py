@@ -33,7 +33,7 @@ class StandardCoefficient:
     m: int | None = None
 
     def __post_init__(self):
-        if self.m is not None and (not isinstance(self.m, int) or self.m < 1):
+        if self.m is not None and (type(self.m) is not int or self.m < 1):
             raise ValueError(f"finite coefficient needs integer m >= 1, got {self.m!r}")
 
     @property
@@ -61,7 +61,7 @@ class LogStructure:
     coefficients: tuple[StandardCoefficient, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 

@@ -39,7 +39,7 @@ class SylvesterTable:
         self._lock = threading.Lock()
 
     def u(self, p: int) -> int:
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise ValueError(f"index p must be a positive integer, got {p!r}")
         with self._lock:
             while len(self._values) < p:

@@ -141,6 +141,8 @@ def _sign(n: int) -> int:
 )
 @example(k=3, low=Fraction(41, 42), extra=Fraction(2))  # the window floor of (3, 2, 1)
 @example(k=5, low=Fraction(5, 2), extra=Fraction(0))  # exact: closings, no leaves
+@example(k=1, low=Fraction(1, 2000), extra=Fraction(2))  # 999 leaves of the root in a row
+@example(k=3, low=Fraction(41, 42), extra=Fraction(1, 1000))  # one-slot prefixes with no leaves
 def test_walk_yields_each_prefix_sum_and_side(k, low, extra):
     # num/den is the prefix's sum unreduced: den is its product, and side
     # is num*b - a*den; the first 1000 yields only, since some draws walk
@@ -342,10 +344,21 @@ def test_two_term_pairs_factor_only_wide_ranges(q, prev, factored, monkeypatch):
     assert calls == ([q] if factored else [])
 
 
-@settings(max_examples=200, deadline=None)
-@given(p=st.integers(1, 40), q=st.integers(1, 10**6), prev=st.integers(1, 100))
+# q = 2^a 3^b 5^c 7^d: q^2 has many divisors, and many products d * w of a
+# divisor and a prime power pass q and are cut
+_SMOOTH = st.builds(
+    lambda a, b, c, d: 2**a * 3**b * 5**c * 7**d,
+    st.integers(0, 10), st.integers(0, 6), st.integers(0, 4), st.integers(0, 4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 40), q=st.one_of(st.integers(1, 10**6), _SMOOTH),
+       prev=st.integers(1, 100))
 @example(p=1, q=720720, prev=1)  # 720720^2 has 1,823 divisors up to 720720, each a pair
 @example(p=1, q=720720, prev=1000000)  # prev drops the pairs below it
+@example(p=11, q=2**6 * 3**4 * 5**2 * 7**2, prev=1)  # smooth q, p > 1: the congruence
+@example(p=37, q=2**10 * 3**6 * 5**4 * 7**4, prev=10**6)  # and prev with it
 def test_two_term_pairs_match_the_divisor_method(p, q, prev):
     # far more than SCAN_LIMIT candidates for most draws: the divisor branch
     x = Fraction(p, q)

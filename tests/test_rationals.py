@@ -16,8 +16,14 @@ from egyfrac.bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from egyfrac.egyptian import enumerate_deficiency, enumerate_exact, greedy
-from egyfrac.geometry import gap_bound, index_bound, refined_index_bound
+from egyfrac.egyptian import as_tuple, enumerate_deficiency, enumerate_exact, greedy
+from egyfrac.geometry import (
+    LogStructure,
+    StandardCoefficient,
+    gap_bound,
+    index_bound,
+    refined_index_bound,
+)
 from egyfrac.oracle import lcm_square_check, max_lcm_search, sweep, window_search
 from egyfrac.rationals import (
     SRQ,
@@ -217,6 +223,26 @@ BOOL_Q_CALLS = [
 def test_bool_q_is_refused(f, args):
     with pytest.raises(ValueError, match=r"q must be a positive integer, got True"):
         f(*args)
+
+
+# every other integer the library checks refuses a bool as well, with the
+# message an integer out of range gets
+BOOL_INT_CALLS = [
+    ("as_tuple", lambda: as_tuple((True, 2, 2)), "denominators must be positive integers"),
+    ("classify_equality", lambda: classify_equality((True,), -1, 1),
+     "denominators must be positive integers"),
+    ("SylvesterTable.u", lambda: SylvesterTable(1).u(True), "index p must be a positive integer"),
+    ("StandardCoefficient", lambda: StandardCoefficient(True),
+     "finite coefficient needs integer m >= 1"),
+    ("LogStructure", lambda: LogStructure(True, ()), "dimension must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in BOOL_INT_CALLS],
+                         ids=[c[0] for c in BOOL_INT_CALLS])
+def test_bool_integers_are_refused(call, message):
+    with pytest.raises(ValueError, match=rf"^{message}, got True$"):
+        call()
 
 
 def test_near_one_examples():

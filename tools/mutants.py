@@ -150,24 +150,29 @@ MUTANTS = [
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_frozen_cells")),
     Mutant("leaf-side-from-parent", EGYPTIAN,
-           "yield prefix, 0, m * side + bd,", "yield prefix, 0, side,",
+           "yield prefix, 0, leaf_side,", "yield prefix, 0, side,",
            (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
             T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_frozen_cells")),
     Mutant("leaf-sum-from-parent", EGYPTIAN,
-           "m * side + bd, num * m + den, den * m", "m * side + bd, num, den",
+           "leaf_side, leaf_num, leaf_den\n", "leaf_side, num, den\n",
            (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
             T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_frozen_cells")),
     Mutant("leaf-loop-keeps-its-slot", EGYPTIAN,
-           "den * m\n                prefix.pop()\n", "den * m\n",
+           "leaf_den += den\n                prefix.pop()\n", "leaf_den += den\n",
            (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
             T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_walker_matches_reference")),
     Mutant("leaf-loop-starts-late", EGYPTIAN,
-           "for m in children:", "for m in children[1:]:",
+           "for prefix[-1] in children:", "for prefix[-1] in children[1:]:",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_walker_matches_reference",
+            T_ORACLE + "test_window_frozen_cells")),
+    Mutant("leaf-steps-sum-by-den", EGYPTIAN,
+           "leaf_num += num", "leaf_num += den",
+           (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
+            T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_frozen_cells")),
     Mutant("two-term-scan-end-off-by-one", EGYPTIAN,
            "range(p * lo - q, p * hi - q + 1, p)", "range(p * lo - q, p * hi - q, p)",
@@ -189,25 +194,28 @@ MUTANTS = [
            (T_EGYPTIAN + "test_enumerate_frozen_examples",
             T_EGYPTIAN + "test_iter_exact_matches_brute_force")),
     Mutant("two-term-prev-bound-dropped", EGYPTIAN,
-           "for x in divisors[bisect.bisect_left(divisors, prev * p - q):]",
-           "for x in divisors",
+           "if x >= least and x % p == residue", "if x % p == residue",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_EGYPTIAN + "test_two_term_pairs_match_the_divisor_method")),
     Mutant("two-term-congruence-dropped", EGYPTIAN,
-           "        if (x + q) % p == 0\n", "",
+           "if x >= least and x % p == residue", "if x >= least",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
-    Mutant("two-term-per-prime-sort-dropped", EGYPTIAN,
-           "divisors = sorted(grown)", "divisors = grown",
+    Mutant("two-term-kept-divisors-unsorted", EGYPTIAN,
+           "for x in sorted([x for x in divisors if x >= least and x % p == residue])",
+           "for x in [x for x in divisors if x >= least and x % p == residue]",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
     Mutant("two-term-divisors-of-q", EGYPTIAN,
-           "for _ in range(2 * e):", "for _ in range(e):",
+           "range(2 * e + 1)", "range(e + 1)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
+    Mutant("two-term-divisor-bound-strict", EGYPTIAN,
+           "if d <= most]", "if d < most]",
+           (T_EGYPTIAN + "test_two_term_pairs_match_the_divisor_method",
+            T_ORACLE + "test_max_lcm_walker_matches_reference")),
     Mutant("two-term-order-reversed", EGYPTIAN,
-           "for x in divisors[bisect.bisect_left(divisors, prev * p - q):]",
-           "for x in divisors[bisect.bisect_left(divisors, prev * p - q):][::-1]",
+           "x % p == residue])", "x % p == residue], reverse=True)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_EGYPTIAN + "test_two_term_pairs_match_the_divisor_method")),
     # extremal patterns and classification
@@ -257,6 +265,10 @@ MUTANTS = [
     Mutant("bool-q-accepted", RATIONALS,
            "    if type(q) is not int or q < 1:", "    if not isinstance(q, int) or q < 1:",
            (T_RATIONALS + "test_bool_q_is_refused[srq_decompose]",)),
+    Mutant("bool-denominators-accepted", EGYPTIAN,
+           "if type(m) is not int or m < 1:", "if not isinstance(m, int) or m < 1:",
+           (T_RATIONALS + "test_bool_integers_are_refused[as_tuple]",
+            T_RATIONALS + "test_bool_integers_are_refused[classify_equality]")),
     # cmd_extremal takes its sum from the requested kind
     Mutant("extremal-sums-its-tuple", CLI,
            'total = bound if args.kind == "gap" else args.k - args.delta',
