@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .egyptian import EgyptianTuple, as_tuple, tuple_lcm, tuple_sum
-from .rationals import SRQ, as_rational, reduced, srq_decompose
+from .rationals import SRQ, as_int, as_rational, reduced, srq_decompose
 from .sylvester import sylvester_u
 
 
@@ -67,8 +67,7 @@ def sharp_sum_bound(k: int, delta, q: int) -> Fraction:
     coprime to q and to W - 1; hence gcd(m/q, u) = gcd(r*(W - 1), q*W)
     = q*gcd(r, W) = gcd(r*q, u).
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    as_int(k, "k")
     d = srq_decompose(delta, q)
     u = sylvester_u(d.s + 1, q)
     m = ((k - d.s) * q + d.r) * u - d.r * q
@@ -115,9 +114,7 @@ def extremal_gap_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     when r fails to divide some tail numerator. A tuple that is built is
     asserted to attain the bound, so every caller that builds one checks it.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    t = _pattern(k, srq_decompose(delta, q), 1)
+    t = _pattern(as_int(k, "k"), srq_decompose(delta, q), 1)
     assert t is None or tuple_sum(t) == sharp_sum_bound(k, delta, q)
     return t
 
@@ -131,8 +128,7 @@ def extremal_lcm_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     s >= 3 with r = 1. A tuple that is built is asserted to sum to k - delta
     and to attain lcm_bound.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    as_int(k, "k")
     delta = as_rational(delta)
     if delta.numerator < 0:
         raise ValueError(f"extremal lcm tuple requires delta >= 0, got {delta}")

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .rationals import as_rational, srq_decompose
+from .rationals import as_int, as_rational, srq_decompose
 
 EgyptianTuple = tuple[int, ...]
 
@@ -20,8 +20,7 @@ def as_tuple(denominators: Iterable[int]) -> EgyptianTuple:
     """Validate and freeze a nondecreasing tuple of positive denominators."""
     t = tuple(denominators)
     for i, m in enumerate(t):
-        if type(m) is not int or m < 1:
-            raise ValueError(f"denominators must be positive integers, got {m!r}")
+        as_int(m, "denominator")
         if i and m < t[i - 1]:
             raise ValueError(f"denominators must be nondecreasing, got {t}")
     return t
@@ -64,7 +63,7 @@ def split_expand(t: Iterable[int], index: int) -> EgyptianTuple:
     Sum is preserved: 1/m = 1/(m+1) + 1/(m*(m+1)). Length grows by one.
     """
     t = as_tuple(t)
-    if not 0 <= index < len(t):
+    if as_int(index, "index", 0) >= len(t):
         raise ValueError(f"index {index} out of range for {len(t)} entries")
     m = t[index]
     expanded = t[:index] + t[index + 1 :] + (m + 1, m * (m + 1))
@@ -245,8 +244,7 @@ def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
     x = as_rational(x)
     if x < 0:
         raise ValueError(f"target sum must be nonnegative, got {x}")
-    if k < 0:
-        raise ValueError(f"term count must be nonnegative, got {k}")
+    as_int(k, "term count", 0)
     for prefix, slots, side, _, den in walk(k, x, x):
         if slots == 2 and side < 0:
             head = tuple(prefix)
@@ -271,8 +269,7 @@ def enumerate_deficiency(k: int, delta, q: int) -> list[EgyptianTuple]:
     delta must be >= -1 with q*delta integral; the list is empty whenever
     k - delta falls outside [0, k] (in particular for every delta < 0).
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    as_int(k, "k")
     delta = as_rational(delta)
     srq_decompose(delta, q)  # validates delta >= -1 and q*delta integral
     target = k - delta

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import gap_amount, lcm_bound
-from .rationals import as_rational, canonical_q
+from .rationals import as_int, as_rational, canonical_q
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class StandardCoefficient:
     m: int | None = None
 
     def __post_init__(self):
-        if self.m is not None and (type(self.m) is not int or self.m < 1):
-            raise ValueError(f"finite coefficient needs integer m >= 1, got {self.m!r}")
+        if self.m is not None:
+            as_int(self.m, "m")
 
     @property
     def is_one(self) -> bool:
@@ -61,8 +61,7 @@ class LogStructure:
     coefficients: tuple[StandardCoefficient, ...]
 
     def __post_init__(self):
-        if type(self.dim) is not int or self.dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
+        as_int(self.dim, "dimension")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
     @property
@@ -90,8 +89,7 @@ def deficiency(ls: LogStructure) -> Fraction:
 
 
 def _threshold(dim: int, t) -> Fraction:
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    as_int(dim, "dimension")
     t = as_rational(t)
     if t < 0:
         raise ValueError(f"threshold must be >= 0, got {t}")
@@ -126,9 +124,7 @@ def refined_index_bound(dim: int, ones: int, t, q: int) -> Fraction:
     deficiency delta = t + dim - ones + 1, which must stay >= 0.
     """
     t = _threshold(dim, t)
-    if ones < 0:
-        raise ValueError(f"ones count must be >= 0, got {ones}")
-    return lcm_bound(t + dim - ones + 1, q)
+    return lcm_bound(t + dim - as_int(ones, "ones", 0) + 1, q)
 
 
 def bpf_index(ls: LogStructure) -> int:

@@ -29,17 +29,10 @@ from .bounds import (
     sharp_sum_bound,
 )
 from .egyptian import as_tuple, close_pairs, walk
-from .rationals import as_rational, canonical_q
+from .rationals import as_int, as_rational, canonical_q
 from .report import Counterexample, EqualityWitness, VerificationReport
 
 DEFAULT_BUDGET = 10**8
-
-
-def _check_search(k: int, budget: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
 
 
 def _witness(t: tuple[int, ...], delta: Fraction, q: int) -> EqualityWitness:
@@ -58,7 +51,8 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
     below the bound, the next denominator m is capped by slots/m >= bound-P,
     which keeps the tree finite.
     """
-    _check_search(k, budget)
+    as_int(k, "k")
+    as_int(budget, "budget")
     delta = as_rational(delta)
     bound = sharp_sum_bound(k, delta, q)
     top_den = delta.denominator
@@ -124,8 +118,7 @@ def lcm_square_check(t, q: int) -> bool:
     True
     """
     t = as_tuple(t)
-    if type(q) is not int or q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    as_int(q, "q")
     product = math.prod(t)
     return _square_check(t, q, math.lcm(*t), sum(product // m for m in t), product)
 
@@ -164,7 +157,8 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     within it are checked and the first one past it is the last node
     counted. Requires delta >= 0.
     """
-    _check_search(k, budget)
+    as_int(k, "k")
+    as_int(budget, "budget")
     delta = as_rational(delta)
     bound = lcm_bound(delta, q)  # validates delta >= 0 and q
     target = Fraction(k * delta.denominator - delta.numerator, delta.denominator)
@@ -264,10 +258,8 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
     share budget, counted in walker nodes, and the sweep stops at the
     search that runs out of it. An empty grid passes with zero stats.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    as_int(k_max, "k_max", 0)
+    as_int(budget, "budget")
     deltas = tuple(as_rational(d) for d in deltas)
     for d in deltas:
         if d < -1:

@@ -3,7 +3,8 @@
 Every rational this package takes or returns is a `fractions.Fraction`:
 stored reduced, denominator positive, so equality is structural and values
 hash cleanly. There is no floating point anywhere: a float input is
-refused, not converted.
+refused, not converted. Every integer argument, a count, an index or a
+modulus, passes through `as_int`, which refuses bools and floats alike.
 """
 
 from __future__ import annotations
@@ -35,6 +36,19 @@ def as_rational(x) -> Fraction:
     if isinstance(x, float):
         raise ValueError(f"rationals must be exact, got the float {x!r}")
     return Fraction(x)
+
+
+def as_int(x, name: str, least: int = 1) -> int:
+    """x itself if it is an int no smaller than least, which is 1 or 0.
+
+    A bool or a float, even a whole one such as 2.0, is refused rather than
+    converted: in the arithmetic a float builds a Fraction of floats, and a
+    bool prints as True where a number was meant.
+    """
+    if type(x) is not int or x < least:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {x!r}")
+    return x
 
 
 class _LowestTerms(NamedTuple):
@@ -91,12 +105,9 @@ class SRQ:
     q: int
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if not 1 <= self.r <= self.q:
+        if as_int(self.q, "q") < as_int(self.r, "r"):
             raise ValueError(f"r must lie in [1, {self.q}], got {self.r}")
-        if self.s < 0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
+        as_int(self.s, "s", 0)
 
     @property
     def delta(self) -> Fraction:
@@ -112,8 +123,7 @@ def srq_decompose(delta, q: int) -> SRQ:
     = q*(s*d - n)/d, exact because d divides q.
     """
     delta = as_rational(delta)
-    if type(q) is not int or q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    as_int(q, "q")
     n, d = delta.numerator, delta.denominator
     if n < -d:
         raise ValueError(f"delta must be >= -1, got {delta}")
@@ -129,8 +139,9 @@ def near_one_check(n: int, p: int, q: int) -> bool:
     Whenever the hypothesis holds, the denominator cannot be small: n <= q.
     That consequence is asserted here as a consistency check.
     """
-    if min(n, p, q) < 1:
-        raise ValueError(f"n, p, q must be positive integers, got {(n, p, q)}")
+    as_int(n, "n")
+    as_int(p, "p")
+    as_int(q, "q")
     holds = (n - 1) * q <= n * p and p < q
     if holds:
         assert n <= q, f"near-one bound violated at n={n}, p={p}, q={q}"

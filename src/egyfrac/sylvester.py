@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
+from .rationals import as_int
 from .report import Counterexample, VerificationReport
 
 # u(p+1, q) has about twice the bits of u(p, q), so a ceiling on bits stops a
@@ -32,15 +33,12 @@ class SylvesterTable:
     """
 
     def __init__(self, q: int):
-        if type(q) is not int or q < 1:
-            raise ValueError(f"seed q must be a positive integer, got {q!r}")
-        self.q = q
+        self.q = as_int(q, "seed q")
         self._values = [q]
         self._lock = threading.Lock()
 
     def u(self, p: int) -> int:
-        if type(p) is not int or p < 1:
-            raise ValueError(f"index p must be a positive integer, got {p!r}")
+        as_int(p, "index p")
         with self._lock:
             while len(self._values) < p:
                 last = self._values[-1]
@@ -68,9 +66,7 @@ def _shared_table(q: int) -> SylvesterTable:
 
 def sylvester_u(p: int, q: int) -> int:
     """u(p, q): the doubly exponential core sequence, memoized per seed."""
-    if type(q) is not int or q < 1:
-        raise ValueError(f"seed q must be a positive integer, got {q!r}")
-    return _shared_table(q).u(p)
+    return _shared_table(as_int(q, "seed q")).u(p)
 
 
 def sylvester_term(p: int, q: int) -> int:
@@ -84,8 +80,8 @@ def check_identities(p_max: int, q_max: int) -> VerificationReport:
     Returns a report whose counterexamples carry any violating (p, q) pair;
     stats.nodes counts the identity instances checked.
     """
-    if p_max < 1 or q_max < 1:
-        raise ValueError(f"ranges must be positive, got p_max={p_max}, q_max={q_max}")
+    as_int(p_max, "p_max")
+    as_int(q_max, "q_max")
     report = VerificationReport({"p_max": p_max, "q_max": q_max})
     for q in range(1, q_max + 1):
         table = _shared_table(q)

@@ -115,7 +115,7 @@ def test_extremal_gap_frozen():
     assert extremal_gap_tuple(3, 2, 1) == (2, 3, 7)
     assert extremal_gap_tuple(2, 3, 1) is None  # k < s
     assert extremal_gap_tuple(3, -1, 1) == (1, 1, 1)
-    with pytest.raises(ValueError, match="k must be positive"):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
         extremal_gap_tuple(0, 2, 1)
 
 
@@ -127,7 +127,7 @@ def test_extremal_lcm_frozen():
     assert extremal_lcm_tuple(2, 3, 1) is None  # k < s
     with pytest.raises(ValueError):
         extremal_lcm_tuple(3, Fraction(-1, 2), 2)
-    with pytest.raises(ValueError, match="k must be positive"):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
         extremal_lcm_tuple(0, 2, 1)
 
 
@@ -555,7 +555,7 @@ def _reference_gap(delta, q):
 
 def _reference_sharp(k, delta, q):
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise ValueError(f"k must be a positive integer, got {k}")
     return k - Fraction(delta) - _reference_gap(delta, q)
 
 

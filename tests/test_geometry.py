@@ -108,7 +108,7 @@ def test_refined_index_bound():
             assert refined_index_bound(dim, 0, t, q) == index_bound(dim, t, q)
     with pytest.raises(ValueError):
         refined_index_bound(1, 3, 0, 1)  # index drops below 1
-    with pytest.raises(ValueError, match="ones count must be >= 0"):
+    with pytest.raises(ValueError, match="ones must be a nonnegative integer, got -1"):
         refined_index_bound(1, -1, 0, 1)
 
 

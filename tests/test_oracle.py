@@ -911,8 +911,8 @@ def test_report_json_is_pinned(run, expected):
 
 
 BAD_SEARCH_ARGUMENTS = [
-    ((0, 2, 1), {}, "k must be positive, got 0", None),
-    ((3, 2, 1), {"budget": 0}, "budget must be positive, got 0", None),
+    ((0, 2, 1), {}, "k must be a positive integer, got 0", None),
+    ((3, 2, 1), {"budget": 0}, "budget must be a positive integer, got 0", None),
     ((3, "x", 1), {}, "Invalid literal for Fraction: 'x'", None),
     ((3, -2, 1), {}, "delta must be >= -1, got -2",
      "lcm bound requires delta >= 0, got -2"),
@@ -933,9 +933,9 @@ def test_searches_name_each_bad_argument(args, kwargs, window_message, lcm_messa
 
 def test_searches_check_k_and_budget_before_delta():
     for search in (window_search, max_lcm_search):
-        with pytest.raises(ValueError, match="^k must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^k must be a positive integer, got 0$"):
             search(0, "x", 1)
-        with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^budget must be a positive integer, got 0$"):
             search(3, "x", 1, budget=0)
 
 

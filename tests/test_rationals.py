@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,13 @@ from egyfrac.bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from egyfrac.egyptian import as_tuple, enumerate_deficiency, enumerate_exact, greedy
+from egyfrac.egyptian import (
+    as_tuple,
+    enumerate_deficiency,
+    enumerate_exact,
+    greedy,
+    split_expand,
+)
 from egyfrac.geometry import (
     LogStructure,
     StandardCoefficient,
@@ -27,6 +34,7 @@ from egyfrac.geometry import (
 from egyfrac.oracle import lcm_square_check, max_lcm_search, sweep, window_search
 from egyfrac.rationals import (
     SRQ,
+    as_int,
     as_rational,
     canonical_q,
     floor_frac,
@@ -36,7 +44,7 @@ from egyfrac.rationals import (
     reduced,
     srq_decompose,
 )
-from egyfrac.sylvester import SylvesterTable, sylvester_u
+from egyfrac.sylvester import SylvesterTable, check_identities, sylvester_u
 
 
 def test_parse_rational_grammar():
@@ -225,24 +233,73 @@ def test_bool_q_is_refused(f, args):
         f(*args)
 
 
-# every other integer the library checks refuses a bool as well, with the
-# message an integer out of range gets
-BOOL_INT_CALLS = [
-    ("as_tuple", lambda: as_tuple((True, 2, 2)), "denominators must be positive integers"),
-    ("classify_equality", lambda: classify_equality((True,), -1, 1),
-     "denominators must be positive integers"),
-    ("SylvesterTable.u", lambda: SylvesterTable(1).u(True), "index p must be a positive integer"),
-    ("StandardCoefficient", lambda: StandardCoefficient(True),
-     "finite coefficient needs integer m >= 1"),
-    ("LogStructure", lambda: LogStructure(True, ()), "dimension must be a positive integer"),
+# one row per integer parameter the library checks, all through as_int: a
+# call with that parameter set to x, the name its error gives it, and the
+# least value it takes
+INT_PARAMETERS = [
+    ("srq_decompose", lambda x: srq_decompose(1, x), "q", 1),
+    ("near_one_check:n", lambda x: near_one_check(x, 1, 2), "n", 1),
+    ("near_one_check:p", lambda x: near_one_check(2, x, 2), "p", 1),
+    ("near_one_check:q", lambda x: near_one_check(2, 1, x), "q", 1),
+    ("SRQ:s", lambda x: SRQ(s=x, r=1, q=1), "s", 0),
+    ("SRQ:r", lambda x: SRQ(s=0, r=x, q=2), "r", 1),
+    ("SRQ:q", lambda x: SRQ(s=0, r=1, q=x), "q", 1),
+    ("SylvesterTable", lambda x: SylvesterTable(x), "seed q", 1),
+    ("SylvesterTable.u", lambda x: SylvesterTable(1).u(x), "index p", 1),
+    ("sylvester_u:p", lambda x: sylvester_u(x, 1), "index p", 1),
+    ("sylvester_u:q", lambda x: sylvester_u(3, x), "seed q", 1),
+    ("check_identities:p_max", lambda x: check_identities(x, 1), "p_max", 1),
+    ("check_identities:q_max", lambda x: check_identities(1, x), "q_max", 1),
+    ("StandardCoefficient", lambda x: StandardCoefficient(x), "m", 1),
+    ("LogStructure", lambda x: LogStructure(x, ()), "dimension", 1),
+    ("gap_bound", lambda x: gap_bound(x, 0, 1), "dimension", 1),
+    ("index_bound", lambda x: index_bound(x, 0, 1), "dimension", 1),
+    ("refined_index_bound:dim", lambda x: refined_index_bound(x, 0, 0, 1), "dimension", 1),
+    ("refined_index_bound:ones", lambda x: refined_index_bound(1, x, 1, 1), "ones", 0),
+    ("sharp_sum_bound", lambda x: sharp_sum_bound(x, 1, 1), "k", 1),
+    ("extremal_gap_tuple", lambda x: extremal_gap_tuple(x, 1, 1), "k", 1),
+    ("extremal_lcm_tuple", lambda x: extremal_lcm_tuple(x, 1, 1), "k", 1),
+    ("window_search:k", lambda x: window_search(x, 1, 1), "k", 1),
+    ("window_search:budget", lambda x: window_search(3, 1, 1, budget=x), "budget", 1),
+    ("max_lcm_search:k", lambda x: max_lcm_search(x, 1, 1), "k", 1),
+    ("max_lcm_search:budget", lambda x: max_lcm_search(3, 1, 1, budget=x), "budget", 1),
+    ("lcm_square_check", lambda x: lcm_square_check((2, 3, 6), x), "q", 1),
+    ("sweep:k_max", lambda x: sweep(x, [1]), "k_max", 0),
+    ("sweep:budget", lambda x: sweep(2, [1], budget=x), "budget", 1),
+    ("as_tuple", lambda x: as_tuple((x, 2, 2)), "denominator", 1),
+    ("classify_equality", lambda x: classify_equality((x,), -1, 1), "denominator", 1),
+    ("split_expand", lambda x: split_expand((2, 3), x), "index", 0),
+    ("enumerate_exact", lambda x: enumerate_exact(1, x), "term count", 0),
+    ("enumerate_deficiency", lambda x: enumerate_deficiency(x, 1, 1), "k", 1),
 ]
 
 
-@pytest.mark.parametrize("call, message", [c[1:] for c in BOOL_INT_CALLS],
-                         ids=[c[0] for c in BOOL_INT_CALLS])
-def test_bool_integers_are_refused(call, message):
-    with pytest.raises(ValueError, match=rf"^{message}, got True$"):
-        call()
+@pytest.mark.parametrize("call, name, least", [c[1:] for c in INT_PARAMETERS],
+                         ids=[c[0] for c in INT_PARAMETERS])
+def test_bool_integers_are_refused(call, name, least):
+    # a bool, a whole float, a fractional one and the first integer out of
+    # range, each with the gate's message. A check by value alone (k < 1,
+    # say) lets the floats and bools through: sharp_sum_bound(3.0, 1, 1)
+    # would return a Fraction of floats, enumerate_exact(1, True) the tuple
+    # (1,), and max_lcm_search(3, 1, 1, budget=1.5) fail with a TypeError
+    kind = "positive" if least else "nonnegative"
+    for bad in (True, 3.0, 1.5, least - 1):
+        message = f"{name} must be a {kind} integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+
+
+def test_as_int_returns_valid_integers_unchanged():
+    big = 10**30
+    assert as_int(big, "n") is big
+    assert as_int(1, "n") == 1
+    assert as_int(0, "n", 0) == 0
+    # 0 where a parameter allows it
+    assert sweep(0, [1]).passed
+    assert enumerate_exact(0, 0) == [()]
+    assert split_expand((2, 3), 0) == (3, 3, 6)
+    assert refined_index_bound(1, 0, 1, 1) == index_bound(1, 1, 1)
+    assert SRQ(s=0, r=1, q=1).delta == -1
 
 
 def test_near_one_examples():

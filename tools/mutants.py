@@ -262,13 +262,23 @@ MUTANTS = [
            "    if isinstance(x, float):\n", "    if False:\n",
            (T_RATIONALS + "test_floats_are_refused",
             T_MAJORIZATION + "test_floats_are_refused")),
-    Mutant("bool-q-accepted", RATIONALS,
-           "    if type(q) is not int or q < 1:", "    if not isinstance(q, int) or q < 1:",
-           (T_RATIONALS + "test_bool_q_is_refused[srq_decompose]",)),
-    Mutant("bool-denominators-accepted", EGYPTIAN,
-           "if type(m) is not int or m < 1:", "if not isinstance(m, int) or m < 1:",
-           (T_RATIONALS + "test_bool_integers_are_refused[as_tuple]",
-            T_RATIONALS + "test_bool_integers_are_refused[classify_equality]")),
+    # the one integer gate, and a caller that skips it
+    Mutant("bool-integers-accepted", RATIONALS,
+           "    if type(x) is not int or x < least:",
+           "    if not isinstance(x, int) or x < least:",
+           (T_RATIONALS + "test_bool_q_is_refused[srq_decompose]",
+            T_RATIONALS + "test_bool_integers_are_refused[as_tuple]",
+            T_RATIONALS + "test_bool_integers_are_refused[classify_equality]",
+            T_RATIONALS + "test_bool_integers_are_refused[window_search:k]")),
+    Mutant("gate-least-fixed-at-one", RATIONALS,
+           "or x < least:", "or x < 1:",
+           (T_RATIONALS + "test_as_int_returns_valid_integers_unchanged",
+            T_ORACLE + "test_sweep_empty_grid_is_vacuous",
+            T_EGYPTIAN + "test_enumerate_frozen_examples")),
+    Mutant("sharp-sum-bound-ungated", BOUNDS,
+           '    as_int(k, "k")\n    d = srq_decompose(delta, q)\n',
+           "    d = srq_decompose(delta, q)\n",
+           (T_RATIONALS + "test_bool_integers_are_refused[sharp_sum_bound]",)),
     # cmd_extremal takes its sum from the requested kind
     Mutant("extremal-sums-its-tuple", CLI,
            'total = bound if args.kind == "gap" else args.k - args.delta',
