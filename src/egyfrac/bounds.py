@@ -67,11 +67,14 @@ def sharp_sum_bound(k: int, delta, q: int) -> Fraction:
     coprime to q and to W - 1; hence gcd(m/q, u) = gcd(r*(W - 1), q*W)
     = q*gcd(r, W) = gcd(r*q, u).
     """
-    as_int(k, "k")
-    d = srq_decompose(delta, q)
-    u = sylvester_u(d.s + 1, q)
-    m = ((k - d.s) * q + d.r) * u - d.r * q
-    return reduced(m, q * u, q * math.gcd(d.r * q, u))
+    return _sharp_sum_bound(as_int(k, "k"), srq_decompose(delta, q))
+
+
+def _sharp_sum_bound(k: int, d: SRQ) -> Fraction:
+    """sharp_sum_bound for a valid k at d = srq_decompose(delta, q)."""
+    u = sylvester_u(d.s + 1, d.q)
+    m = ((k - d.s) * d.q + d.r) * u - d.r * d.q
+    return reduced(m, d.q * u, d.q * math.gcd(d.r * d.q, u))
 
 
 def lcm_bound(delta, q: int) -> Fraction:
@@ -83,8 +86,12 @@ def lcm_bound(delta, q: int) -> Fraction:
     delta = as_rational(delta)
     if delta.numerator < 0:
         raise ValueError(f"lcm bound requires delta >= 0, got {delta}")
-    d = srq_decompose(delta, q)
-    u = sylvester_u(d.s, q)
+    return _lcm_bound(srq_decompose(delta, q))
+
+
+def _lcm_bound(d: SRQ) -> Fraction:
+    """lcm_bound at d = srq_decompose(delta, q) for a delta >= 0 (s >= 1)."""
+    u = sylvester_u(d.s, d.q)
     return reduced(u, d.r, math.gcd(d.r, u))
 
 
@@ -148,9 +155,9 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     lcm pattern (closed by u(s, q)/r) sums to exactly k - delta and the gap
     pattern (closed by (1 + u(s, q))/r) to the sharp sum bound
     k - delta - r/u(s+1, q). So the tuple is never summed: it is compared
-    with the lcm pattern (delta >= 0 only), then with the gap pattern, and
-    is NONE if it matches neither. The gap pattern's sum lies below
-    k - delta by a positive gap, so no tuple is in both families.
+    with the two patterns, and is NONE if it matches neither. The gap
+    pattern's sum lies below k - delta by a positive gap, so no tuple is in
+    both families.
 
     Gap families by delta range, read from s = floor(delta) + 1:
     NEGATIVE_DELTA (s = 0: all ones), FRACTIONAL_DELTA (s = 1,
@@ -158,21 +165,37 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     Lcm families: TWO_TERM_LCM for s = 2 with r > 1, else SYLVESTER_LCM.
     """
     t = as_tuple(t)
-    d = srq_decompose(delta, q)
+    tag = _family(t, srq_decompose(delta, q))
+    return EqualityCase(tag, None if tag is EqualityFamily.NONE else t)
+
+
+def _family(t: EgyptianTuple, d: SRQ) -> EqualityFamily:
+    """classify_equality's tag for a valid t at d = srq_decompose(delta, q).
+
+    The two patterns share all but their last entry: k - s ones, then
+    (1 + u(i, q))/r for i < s. That part is checked once, each entry m as
+    m*r == 1 + u(i, q), so no quotient is taken. The last entry then
+    closes the lcm pattern when last*r == u(s, q) and the gap pattern when
+    it is one more. At s = 0 both patterns are the k ones, and only the gap
+    family is defined there.
+    """
     k = len(t)
-    if k == 0:
-        return EqualityCase(EqualityFamily.NONE)
-
-    if d.s > 0 and t == _pattern(k, d, 0):
-        if d.s == 2 and d.r > 1:
-            return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
-        return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
-
-    if t == _pattern(k, d, 1):
-        if d.s > 1:
-            return EqualityCase(EqualityFamily.SYLVESTER_GAP, t)
-        if d.s == 1:
-            return EqualityCase(EqualityFamily.FRACTIONAL_DELTA, t)
-        return EqualityCase(EqualityFamily.NEGATIVE_DELTA, t)
-
-    return EqualityCase(EqualityFamily.NONE)
+    s, r, q = d.s, d.r, d.q
+    ones = k - s
+    if k == 0 or ones < 0 or any(m != 1 for m in t[:ones]):
+        return EqualityFamily.NONE
+    for i in range(1, s):
+        if t[ones + i - 1] * r != 1 + sylvester_u(i, q):
+            return EqualityFamily.NONE
+    closing = t[-1] * r - sylvester_u(s, q) if s else 1
+    if closing == 0:
+        if s == 2 and r > 1:
+            return EqualityFamily.TWO_TERM_LCM
+        return EqualityFamily.SYLVESTER_LCM
+    if closing == 1:
+        if s > 1:
+            return EqualityFamily.SYLVESTER_GAP
+        if s == 1:
+            return EqualityFamily.FRACTIONAL_DELTA
+        return EqualityFamily.NEGATIVE_DELTA
+    return EqualityFamily.NONE

@@ -27,13 +27,15 @@ def as_tuple(denominators: Iterable[int]) -> EgyptianTuple:
 
 
 def tuple_sum(t: Iterable[int]) -> Fraction:
-    """Exact reciprocal sum; the empty tuple sums to 0."""
-    return sum((Fraction(1, m) for m in t), Fraction(0))
+    """Exact reciprocal sum; the empty tuple sums to 0. Each denominator
+    must be a positive integer, in any order."""
+    return sum((Fraction(1, as_int(m, "denominator")) for m in t), Fraction(0))
 
 
 def tuple_lcm(t: Iterable[int]) -> int:
-    """Least common multiple of the denominators; 1 for the empty tuple."""
-    return math.lcm(*t)
+    """Least common multiple of the denominators; 1 for the empty tuple.
+    Each denominator must be a positive integer, in any order."""
+    return math.lcm(*(as_int(m, "denominator") for m in t))
 
 
 def greedy(x) -> EgyptianTuple:

@@ -22,22 +22,23 @@ import math
 from fractions import Fraction
 
 from .bounds import (
-    classify_equality,
+    _family,
+    _lcm_bound,
+    _sharp_sum_bound,
     extremal_gap_tuple,
     extremal_lcm_tuple,
-    lcm_bound,
-    sharp_sum_bound,
 )
 from .egyptian import as_tuple, close_pairs, walk
-from .rationals import as_int, as_rational, canonical_q
+from .rationals import SRQ, as_int, as_rational, canonical_q, reduced, srq_decompose
 from .report import Counterexample, EqualityWitness, VerificationReport
 
 DEFAULT_BUDGET = 10**8
 
 
-def _witness(t: tuple[int, ...], delta: Fraction, q: int) -> EqualityWitness:
-    """t, found at a bound, tagged with its equality family."""
-    return EqualityWitness(t, delta, q, classify_equality(t, delta, q).tag.value)
+def _witness(t: tuple[int, ...], delta: Fraction, d: SRQ) -> EqualityWitness:
+    """t, found at a bound, tagged with its equality family; d is the
+    search's srq_decompose(delta, q)."""
+    return EqualityWitness(t, delta, d.q, _family(t, d).value)
 
 
 def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -49,15 +50,19 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
     padding with arbitrarily large denominators would complete it into the
     window, so no completion needs to be materialized. At a prefix strictly
     below the bound, the next denominator m is capped by slots/m >= bound-P,
-    which keeps the tree finite.
+    which keeps the tree finite. delta is decomposed once, for the bound
+    and for every witness's tag.
     """
     as_int(k, "k")
     as_int(budget, "budget")
     delta = as_rational(delta)
-    bound = sharp_sum_bound(k, delta, q)
+    d = srq_decompose(delta, q)
+    bound = _sharp_sum_bound(k, d)
     top_den = delta.denominator
     top_num = k * top_den - delta.numerator
-    top = Fraction(top_num, top_den)
+    # k - delta over delta's denominator: a gcd of the two divides
+    # delta's numerator too, so the pair is already in lowest terms
+    top = reduced(top_num, top_den, 1)
     report = VerificationReport(
         {
             "k": k,
@@ -85,7 +90,7 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
             report.counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
         elif side == 0:
             if slots == 0:
-                report.equality_witnesses.append(_witness(tuple(prefix), delta, q))
+                report.equality_witnesses.append(_witness(tuple(prefix), delta, d))
             else:
                 report.counterexamples.append(
                     Counterexample(
@@ -155,12 +160,16 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     more slots left; for k = 1, the root and its member) and one per pair
     that closes a prefix. When it runs out inside a closing, the pairs
     within it are checked and the first one past it is the last node
-    counted. Requires delta >= 0.
+    counted. Requires delta >= 0. delta is decomposed once, for the bound
+    and for every witness's tag.
     """
     as_int(k, "k")
     as_int(budget, "budget")
     delta = as_rational(delta)
-    bound = lcm_bound(delta, q)  # validates delta >= 0 and q
+    if delta.numerator < 0:
+        raise ValueError(f"lcm bound requires delta >= 0, got {delta}")
+    d = srq_decompose(delta, q)
+    bound = _lcm_bound(d)
     target = Fraction(k * delta.denominator - delta.numerator, delta.denominator)
     report = VerificationReport({"k": k, "delta": delta, "q": q, "lcm_bound": bound})
     # an lcm is an integer, so it exceeds the bound exactly when it exceeds
@@ -211,7 +220,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
             elif lcm_value == max_lcm:
                 maximizers.append(t)
             if integral and lcm_value == floor_bound:
-                report.equality_witnesses.append(_witness(t, delta, q))
+                report.equality_witnesses.append(_witness(t, delta, d))
         if nodes > budget:
             break
     report.details = {

@@ -61,16 +61,24 @@ class _LowestTerms(NamedTuple):
 numbers.Rational.register(_LowestTerms)
 
 
+# below this, Fraction(num, den) is built faster than from _LowestTerms,
+# whose ABC dispatch costs more than a gcd of 64-bit operands
+_SMALL = 2**64
+
+
 def reduced(num: int, den: int, g: int) -> Fraction:
     """num/den as a Fraction, for den > 0 and g = gcd(num, den).
 
     Fraction(num, den) finds g itself and divides by it even when it is 1:
     for num and den the size of a Sylvester value u(s, q), that gcd costs
     more than the bound it reduces. Callers find g against a small operand
-    instead, and the division happens only when g > 1.
+    instead, and the division happens only when g > 1. A den below 2**64
+    is left to Fraction, whose gcd is cheap at that size.
     """
     if g > 1:
         num, den = num // g, den // g
+    if den < _SMALL:
+        return Fraction(num, den)
     return Fraction(_LowestTerms(num, den))
 
 

@@ -72,9 +72,19 @@ class VerificationReport:
         return self
 
 
+# mathematical integers travel as decimal strings (they outgrow 64 bits);
+# rationals as 'p/q'; structural ints (k, q, counts) stay JSON numbers
+def _parameter(value):
+    # a search's parameters are ints and Fractions, converted here without
+    # _generic's walk; a sweep's list of deltas goes through it
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return str(value)
+    return _generic(value)
+
+
 def _generic(value):
-    # mathematical integers travel as decimal strings (they outgrow 64 bits);
-    # rationals as 'p/q'; structural ints (k, q, counts) stay JSON numbers
     if isinstance(value, Fraction):
         return rational_str(value)
     if isinstance(value, (list, tuple)):
@@ -97,7 +107,7 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
     equality_witnesses, stats}, plus budget/details fields when relevant."""
     out: dict[str, Any] = {
         "passed": report.passed,
-        "parameters": _generic(report.parameters),
+        "parameters": {k: _parameter(v) for k, v in report.parameters.items()},
         "counterexamples": [
             {
                 "claim": c.claim,
@@ -109,8 +119,8 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
         ],
         "equality_witnesses": [
             {
-                "denominators": _big(w.denominators),
-                "delta": rational_str(w.delta),
+                "denominators": [str(m) for m in w.denominators],
+                "delta": str(w.delta),
                 "q": w.q,
                 "family": w.family,
             }

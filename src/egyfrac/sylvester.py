@@ -29,7 +29,9 @@ class SylvesterTable:
     No value past MAX_BITS bits is built: u raises ValueError before a
     squaring whose product could pass the ceiling, so a huge index fails at
     once instead of exhausting memory. Extension happens under a lock, so
-    shared tables are thread-safe.
+    shared tables are thread-safe. A value already built is read without
+    it: values are only ever appended, under the lock, so an index below
+    the list's length names a value that is complete and never changes.
     """
 
     def __init__(self, q: int):
@@ -39,6 +41,9 @@ class SylvesterTable:
 
     def u(self, p: int) -> int:
         as_int(p, "index p")
+        values = self._values
+        if p <= len(values):
+            return values[p - 1]
         with self._lock:
             while len(self._values) < p:
                 last = self._values[-1]
@@ -57,6 +62,11 @@ _tables_lock = threading.Lock()
 
 
 def _shared_table(q: int) -> SylvesterTable:
+    # a table, once stored, is never replaced, so a hit needs no lock; a miss
+    # looks again under it, so two threads never store two tables for one q
+    table = _tables.get(q)
+    if table is not None:
+        return table
     with _tables_lock:
         table = _tables.get(q)
         if table is None:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egyfrac import bounds
@@ -489,6 +489,11 @@ def test_classify_matches_the_reference_on_shifted_cells():
     den=st.integers(1, 4),
     q=st.integers(1, 6),
 )
+# the last entry closes a pattern, but an entry before it breaks the part
+# both patterns share: the gap pattern (2, 3) at delta = 1, and the lcm
+# pattern (2, 3, 6) at delta = 2
+@example(t=[3, 3], sort=True, num=1, den=1, q=1)
+@example(t=[2, 4, 6], sort=True, num=2, den=1, q=1)
 def test_classify_matches_the_reference_on_arbitrary_tuples(t, sort, num, den, q):
     t = tuple(sorted(t)) if sort else tuple(t)
     delta = Fraction(num, den)

@@ -325,8 +325,7 @@ def test_oracle_ignores_the_environment(capsys, monkeypatch):
 
 
 def test_oracle_prints_each_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr("egyfrac.oracle.classify_equality",
-                        lambda t, delta, q: EqualityCase(EqualityFamily.NONE))
+    monkeypatch.setattr("egyfrac.oracle._family", lambda t, d: EqualityFamily.NONE)
     argv = ["oracle", "--k-max", "3", "--delta-list", "2"]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (2, "")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from egyfrac import egyptian, oracle
 from egyfrac.bounds import (
-    EqualityCase,
     EqualityFamily,
     classify_equality,
     extremal_gap_tuple,
@@ -208,10 +207,10 @@ def test_window_walker_matches_reference_under_budget(k, delta, q):
 def test_window_walker_matches_reference_on_counterexamples(k, delta, q, monkeypatch):
     # a floor lowered by one more gap puts the true floor tuples inside the
     # window, so both traversals must report the same counterexamples
-    def lowered(k, delta, q):
-        return sharp_sum_bound(k, delta, q) - gap_amount(delta, q)
+    def lowered(k, d):
+        return sharp_sum_bound(k, d.delta, d.q) - gap_amount(d.delta, d.q)
 
-    monkeypatch.setattr(oracle, "sharp_sum_bound", lowered)
+    monkeypatch.setattr(oracle, "_sharp_sum_bound", lowered)
     report = window_search(k, delta, q)
     assert report.counterexamples
     _assert_matches_reference(k, delta, q)
@@ -220,7 +219,7 @@ def test_window_walker_matches_reference_on_counterexamples(k, delta, q, monkeyp
 def test_window_names_each_prefix_counterexample(monkeypatch):
     # under a floor of 1/3 the prefix (2,) lies inside the window (1/3, 1)
     # and (3,) sits on its floor, each with two slots still open
-    monkeypatch.setattr(oracle, "sharp_sum_bound", lambda k, delta, q: F(1, 3))
+    monkeypatch.setattr(oracle, "_sharp_sum_bound", lambda k, d: F(1, 3))
     report = window_search(3, 2, 1)
     assert report.counterexamples[:2] == [
         Counterexample("prefix completable into forbidden window", (2,), F(2), 1),
@@ -556,10 +555,10 @@ def test_max_lcm_frontier_cell_finishes():
 def test_max_lcm_walker_matches_reference_on_counterexamples(k, delta, q, monkeypatch):
     # a bound halved puts the extremal tuple's lcm above it, so both loops
     # must report the same counterexamples
-    def halved(delta, q):
-        return lcm_bound(delta, q) / 2
+    def halved(d):
+        return lcm_bound(d.delta, d.q) / 2
 
-    monkeypatch.setattr(oracle, "lcm_bound", halved)
+    monkeypatch.setattr(oracle, "_lcm_bound", halved)
     report = max_lcm_search(k, delta, q)
     assert report.counterexamples
     _assert_lcm_matches_reference(k, delta, q)
@@ -570,10 +569,10 @@ def test_max_lcm_walker_matches_reference_on_counterexamples(k, delta, q, monkey
 def test_max_lcm_bound_between_integers(k, delta, q, shift, monkeypatch):
     # a bound moved off the integers leaves the extremal lcm just below it
     # (no witness, no counterexample) or just above it (a counterexample)
-    def shifted(delta, q):
-        return lcm_bound(delta, q) + shift
+    def shifted(d):
+        return lcm_bound(d.delta, d.q) + shift
 
-    monkeypatch.setattr(oracle, "lcm_bound", shifted)
+    monkeypatch.setattr(oracle, "_lcm_bound", shifted)
     report = max_lcm_search(k, delta, q)
     assert report.equality_witnesses == []
     assert bool(report.counterexamples) == (shift < 0)
@@ -769,8 +768,7 @@ def test_sweep_reports_witnesses_off_the_extremal_tuple(monkeypatch):
 
 
 def test_sweep_reports_unclassified_witnesses(monkeypatch):
-    monkeypatch.setattr(oracle, "classify_equality",
-                        lambda t, delta, q: EqualityCase(EqualityFamily.NONE))
+    monkeypatch.setattr(oracle, "_family", lambda t, d: EqualityFamily.NONE)
     report = sweep(k_max=3, deltas=(F(2),))
     assert report.passed is False
     assert report.counterexamples == [

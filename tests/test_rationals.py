@@ -23,6 +23,8 @@ from egyfrac.egyptian import (
     enumerate_exact,
     greedy,
     split_expand,
+    tuple_lcm,
+    tuple_sum,
 )
 from egyfrac.geometry import (
     LogStructure,
@@ -268,6 +270,8 @@ INT_PARAMETERS = [
     ("sweep:budget", lambda x: sweep(2, [1], budget=x), "budget", 1),
     ("as_tuple", lambda x: as_tuple((x, 2, 2)), "denominator", 1),
     ("classify_equality", lambda x: classify_equality((x,), -1, 1), "denominator", 1),
+    ("tuple_sum", lambda x: tuple_sum((x, 2)), "denominator", 1),
+    ("tuple_lcm", lambda x: tuple_lcm((x, 2)), "denominator", 1),
     ("split_expand", lambda x: split_expand((2, 3), x), "index", 0),
     ("enumerate_exact", lambda x: enumerate_exact(1, x), "term count", 0),
     ("enumerate_deficiency", lambda x: enumerate_deficiency(x, 1, 1), "k", 1),
@@ -277,13 +281,15 @@ INT_PARAMETERS = [
 @pytest.mark.parametrize("call, name, least", [c[1:] for c in INT_PARAMETERS],
                          ids=[c[0] for c in INT_PARAMETERS])
 def test_bool_integers_are_refused(call, name, least):
-    # a bool, a whole float, a fractional one and the first integer out of
-    # range, each with the gate's message. A check by value alone (k < 1,
-    # say) lets the floats and bools through: sharp_sum_bound(3.0, 1, 1)
-    # would return a Fraction of floats, enumerate_exact(1, True) the tuple
-    # (1,), and max_lcm_search(3, 1, 1, budget=1.5) fail with a TypeError
+    # a bool, a whole float, a fractional one, the first integer out of
+    # range and a negative one, each with the gate's message. A check by
+    # value alone (k < 1, say) lets the floats and bools through:
+    # sharp_sum_bound(3.0, 1, 1) would return a Fraction of floats,
+    # enumerate_exact(1, True) the tuple (1,), and max_lcm_search(3, 1, 1,
+    # budget=1.5) fail with a TypeError; with no check at all,
+    # tuple_sum((-2, 2)) would return 0 and tuple_lcm((0, 2)) 0
     kind = "positive" if least else "nonnegative"
-    for bad in (True, 3.0, 1.5, least - 1):
+    for bad in (True, 3.0, 1.5, least - 1, -2):
         message = f"{name} must be a {kind} integer, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(bad)
@@ -300,6 +306,9 @@ def test_as_int_returns_valid_integers_unchanged():
     assert split_expand((2, 3), 0) == (3, 3, 6)
     assert refined_index_bound(1, 0, 1, 1) == index_bound(1, 1, 1)
     assert SRQ(s=0, r=1, q=1).delta == -1
+    # a reciprocal sum and an lcm take their denominators in any order
+    assert tuple_sum((6, 2, 3)) == 1
+    assert tuple_lcm((6, 2, 3)) == 6
 
 
 def test_near_one_examples():

@@ -1,6 +1,9 @@
 """Generalized Sylvester sequences: values, identities, growth."""
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,8 @@ def test_u_frozen_values():
     assert sylvester_u(2, 5) == 30
     assert sylvester_u(3, 2) == 42
     assert sylvester_u(4, 2) == 1806
+    # read again once built: each of these is served from the table
+    assert [sylvester_u(p, 1) for p in range(1, 6)] == [1, 2, 6, 42, 1806]
 
 
 def test_companion_terms_q1():
@@ -87,6 +92,51 @@ def test_table_refuses_values_past_the_bit_ceiling(monkeypatch):
     with pytest.raises(ValueError, match="64-bit ceiling"):
         table.u(10**6)
     assert [table.u(p) for p in range(1, 8)] == [sylvester_u(p, 1) for p in range(1, 8)]
+
+
+def _recurrence(q, p_max):
+    values = [q]
+    while len(values) < p_max:
+        values.append(values[-1] * (values[-1] + 1))
+    return values
+
+
+def test_concurrent_reads_match_the_recurrence():
+    # a value already built is read without the lock while other threads
+    # grow the same table under it: 6 threads read u(p, q) in shuffled
+    # order and 2 extend each table one index at a time, on seeds no other
+    # test builds, so every table starts empty. A torn or early read
+    # breaks the equality with a private recurrence.
+    seeds = range(1009, 1041, 2)
+    expected = {q: _recurrence(q, 14) for q in seeds}
+    wrong = []
+    start = threading.Barrier(8)
+
+    def read(order):
+        try:
+            start.wait(timeout=10)
+            for q in seeds:
+                for p in order(range(1, 15)):
+                    if sylvester_u(p, q) != expected[q][p - 1]:
+                        wrong.append((p, q))
+        except Exception as exc:  # reported by the assertion below
+            wrong.append(exc)
+
+    shufflers = [random.Random(seed) for seed in range(6)]
+    orders = [lambda ps, rng=rng: rng.sample(ps, len(ps)) for rng in shufflers]
+    orders += [list, list]
+    threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_identities_hold():

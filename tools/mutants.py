@@ -53,10 +53,9 @@ T_SYLVESTER = "tests/test_sylvester.py::"
 T_MAJORIZATION = "tests/test_majorization.py::"
 T_RATIONALS = "tests/test_rationals.py::"
 _LCM_FAMILIES = """\
-        if d.s == 2 and d.r > 1:
-            return EqualityCase(EqualityFamily.TWO_TERM_LCM, t)
-        return EqualityCase(EqualityFamily.SYLVESTER_LCM, t)
-
+        if s == 2 and r > 1:
+            return EqualityFamily.TWO_TERM_LCM
+        return EqualityFamily.SYLVESTER_LCM
 """
 
 MUTANTS = [
@@ -227,17 +226,23 @@ MUTANTS = [
            "    return tuple(out[:k - d.s]) + tuple(num // d.r for num in out[k - d.s:])",
            (T_BOUNDS + "test_extremal_tuples_stop_at_the_first_entry_r_fails_to_divide",)),
     Mutant("classify-closings-swapped", BOUNDS,
-           "t == _pattern(k, d, 0):\n" + _LCM_FAMILIES + "    if t == _pattern(k, d, 1):",
-           "t == _pattern(k, d, 1):\n" + _LCM_FAMILIES + "    if t == _pattern(k, d, 0):",
+           "    if closing == 0:\n" + _LCM_FAMILIES + "    if closing == 1:",
+           "    if closing == 1:\n" + _LCM_FAMILIES + "    if closing == 0:",
            (T_BOUNDS + "test_classify_gap_families",
             T_BOUNDS + "test_classify_lcm_families")),
     Mutant("classify-delta-guard-dropped", BOUNDS,
-           "if d.s > 0 and t == _pattern(k, d, 0):", "if t == _pattern(k, d, 0):",
+           "if s else 1", "if s else 0",
            (T_BOUNDS + "test_classify_gap_families",
             T_BOUNDS + "test_every_tagged_tuple_sums_to_its_familys_value")),
     Mutant("classify-fractional-takes-negative", BOUNDS,
-           "        if d.s == 1:", "        if d.s <= 1:",
+           "        if s == 1:", "        if s <= 1:",
            (T_BOUNDS + "test_classify_gap_families",)),
+    Mutant("classify-skips-shared-part", BOUNDS,
+           "    for i in range(1, s):\n"
+           "        if t[ones + i - 1] * r != 1 + sylvester_u(i, q):\n"
+           "            return EqualityFamily.NONE\n",
+           "",
+           (T_BOUNDS + "test_classify_matches_the_reference_on_arbitrary_tuples",)),
     # the decomposition and the bounds on integer pairs
     Mutant("srq-refuses-delta-minus-one", RATIONALS,
            "    if n < -d:", "    if n <= -d:",
@@ -252,12 +257,13 @@ MUTANTS = [
            (T_RATIONALS + "test_srq_decompose_formula_cases",
             T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference")),
     Mutant("sharp-bound-gcd-without-q", BOUNDS,
-           "q * math.gcd(d.r * q, u)", "math.gcd(d.r * q, u)",
+           "d.q * math.gcd(d.r * d.q, u)", "math.gcd(d.r * d.q, u)",
            (T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference",
             T_BOUNDS + "test_bounds_match_the_fraction_reference_on_random_input")),
     Mutant("gap-amount-unreduced", BOUNDS,
            "reduced(d.r, u, math.gcd(d.r, u))", "reduced(d.r, u, 1)",
-           (T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference",)),
+           (T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference",
+            T_BOUNDS + "test_bounds_match_the_fraction_reference_on_random_input")),
     Mutant("float-rationals-accepted", RATIONALS,
            "    if isinstance(x, float):\n", "    if False:\n",
            (T_RATIONALS + "test_floats_are_refused",
@@ -276,8 +282,7 @@ MUTANTS = [
             T_ORACLE + "test_sweep_empty_grid_is_vacuous",
             T_EGYPTIAN + "test_enumerate_frozen_examples")),
     Mutant("sharp-sum-bound-ungated", BOUNDS,
-           '    as_int(k, "k")\n    d = srq_decompose(delta, q)\n',
-           "    d = srq_decompose(delta, q)\n",
+           '_sharp_sum_bound(as_int(k, "k"), ', "_sharp_sum_bound(k, ",
            (T_RATIONALS + "test_bool_integers_are_refused[sharp_sum_bound]",)),
     # cmd_extremal takes its sum from the requested kind
     Mutant("extremal-sums-its-tuple", CLI,
@@ -288,6 +293,10 @@ MUTANTS = [
            'total = bound if args.kind == "gap" else args.k - args.delta',
            "total = args.k - args.delta",
            (T_CLI + "test_extremal_sums_its_tuple_once[gap]",)),
+    # a value already built is read without the lock, at its own index
+    Mutant("sylvester-hit-reads-last", SYLVESTER,
+           "            return values[p - 1]\n", "            return values[-1]\n",
+           (T_SYLVESTER + "test_u_frozen_values",)),
     # check_identities reports each identity it finds broken
     Mutant("identity-sum-check-dropped", SYLVESTER,
            "            if total != Fraction(1, q) - Fraction(1, nxt):",
