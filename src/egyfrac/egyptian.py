@@ -80,7 +80,8 @@ def position_range(
     room = (p, q) stands for p/q > 0, the most the next term 1/m may add (no
     overshoot); need = (p, q) for what the `slots` terms left must still
     cover, so slots/m >= need (even repeating m everywhere must not fall
-    short). m >= prev keeps the tuple nondecreasing.
+    short). m >= prev keeps the tuple nondecreasing. walk computes the same
+    two bounds in place, without the call.
     """
     lo = max(prev, -(-room[1] // room[0]))
     hi = slots * need[1] // need[0]
@@ -152,8 +153,9 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     empty one first: slots terms are still to place, num/den is the prefix
     sum, and side is an integer whose sign places that sum below (< 0), on
     (0) or above (> 0) low. Only a prefix below low with slots left gets
-    children, the m in position_range with room cap - sum and need
-    low - sum; cap >= low. The yielded list is reused: copy it to keep it.
+    children: every m from its last entry on with 1/m <= cap - sum and
+    slots/m >= low - sum, the range position_range states; cap >= low.
+    The yielded list is reused: copy it to keep it.
 
     num/den is never reduced: den == prod(prefix) and num is the sum of
     den // m over the prefix's entries.
@@ -167,12 +169,15 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     k-term tuple summing to low once, in lexicographic order.
 
     The walk is one loop over an explicit stack, without recursion, so a
-    prefix costs the same at every depth. A prefix below low with one slot
-    left pushes no level: its leaves come from one inner loop, which does
-    not go through the stack. Under a prefix (side, num, den) with low =
-    a/b, leaf m has side m*side + b*den and sum (num*m + den)/(den*m), all
-    linear in m, so each leaf after the first adds the prefix's side, num
-    and den to the last leaf's: three additions and no multiplication,
+    prefix costs the same at every depth. A prefix computes its children's
+    range in integers, in place, and opens a level only when the range is
+    not empty and two or more slots are left: four integers, so a sibling
+    step is one increment and one compare. A prefix below low with one
+    slot left pushes no level: its leaves come from one inner loop, which
+    does not go through the stack. Under a prefix (side, num, den) with
+    low = a/b, leaf m has side m*side + b*den and sum (num*m + den)/(den*m),
+    all linear in m, so each leaf after the first adds the prefix's side,
+    num and den to the last leaf's: three additions and no multiplication,
     which makes a leaf the cheapest node.
     """
     a, b = low.numerator, low.denominator
@@ -181,27 +186,33 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
     # compares only nonzero slots, so 0 means "never"
     stop_at = 2 if (a, b) == (c, d) else 0
     prefix: list[int] = []
-    # one (children, num, den) per prefix with two or more slots whose
-    # children are being walked; while a level is open, prefix ends in the
-    # slot of its current child
-    stack: list[tuple[Iterator[int], int, int]] = []
+    # one [next child, last child, num, den] per prefix with two or more
+    # slots whose children are being walked; while a level is open, prefix
+    # ends in the slot of its current child
+    stack: list[list[int]] = []
     m, num, den = 1, 0, 1  # m: the prefix's last entry (1 for the root)
     while True:
         slots = k - len(prefix)
         side = num * b - a * den
         yield prefix, slots, side, num, den
         if side < 0 and slots and slots != stop_at:
-            room = (c * den - num * d, d * den)
-            children = position_range(m, slots, room, (-side, b * den))
-            if slots > 1:
-                prefix.append(0)
-                stack.append((iter(children), num, den))
-            elif children:
+            # position_range's bounds, with room cap - num/den and need
+            # low - num/den = -side/(b*den)
+            lo = -(d * den // (num * d - c * den))
+            if lo < m:
+                lo = m
+            hi = slots * b * den // -side
+            if lo <= hi:
+                if slots > 1:
+                    # the first child at once; the level keeps the next
+                    prefix.append(lo)
+                    stack.append([lo + 1, hi, num, den])
+                    m, num, den = lo, num * lo + den, den * lo
+                    continue
                 # the leaves, with no stack level, each stepped from the last
-                m = children.start
-                leaf_side, leaf_num, leaf_den = m * side + b * den, num * m + den, den * m
-                prefix.append(m)
-                for prefix[-1] in children:
+                leaf_side, leaf_num, leaf_den = lo * side + b * den, num * lo + den, den * lo
+                prefix.append(lo)
+                for prefix[-1] in range(lo, hi + 1):
                     yield prefix, 0, leaf_side, leaf_num, leaf_den
                     leaf_side += side
                     leaf_num += num
@@ -209,9 +220,10 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
                 prefix.pop()
         # on to the next child of the deepest open level; none left: done
         while stack:
-            children, num, den = stack[-1]
-            m = next(children, 0)  # denominators are positive
-            if m:
+            level = stack[-1]
+            m, last, num, den = level
+            if m <= last:
+                level[0] = m + 1
                 break
             stack.pop()
             prefix.pop()

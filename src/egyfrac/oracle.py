@@ -79,27 +79,28 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
     for nodes, (prefix, slots, side, num, den) in enumerate(walk(k, bound, k + 1), 1):
         if nodes > budget:
             break
+        if side < 0:
+            continue  # below the floor, so below the top too
         if num * top_den >= top_num * den:
             continue  # at or past the window top; sums only grow
-        if side > 0:
+        if side:
             claim = (
                 "sum inside forbidden window"
                 if slots == 0
                 else "prefix completable into forbidden window"
             )
             report.counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
-        elif side == 0:
-            if slots == 0:
-                report.equality_witnesses.append(_witness(tuple(prefix), delta, d))
-            else:
-                report.counterexamples.append(
-                    Counterexample(
-                        "boundary prefix completable into forbidden window",
-                        tuple(prefix),
-                        delta,
-                        q,
-                    )
+        elif slots == 0:
+            report.equality_witnesses.append(_witness(tuple(prefix), delta, d))
+        else:
+            report.counterexamples.append(
+                Counterexample(
+                    "boundary prefix completable into forbidden window",
+                    tuple(prefix),
+                    delta,
+                    q,
                 )
+            )
     return report.finish(nodes, nodes > budget)
 
 

@@ -138,7 +138,11 @@ def srq_decompose(delta, q: int) -> SRQ:
     if q % d:
         raise ValueError(f"q*delta must be an integer, got q={q}, delta={delta}")
     s = n // d + 1
-    return SRQ(s=s, r=q * (s * d - n) // d, q=q)
+    # s >= 0 and 1 <= r <= q hold by construction, so the fields skip
+    # SRQ's checks, which cost more than the decomposition itself
+    out = object.__new__(SRQ)
+    out.__dict__.update(s=s, r=q * (s * d - n) // d, q=q)
+    return out
 
 
 def near_one_check(n: int, p: int, q: int) -> bool:

@@ -84,6 +84,18 @@ def _parameter(value):
     return _generic(value)
 
 
+def _detail(key: str, value):
+    # max_lcm_search's three keys, converted without _generic's walk: a
+    # count, an lcm (None for an empty class) and the tuples attaining it
+    if key == "class_size":
+        return value
+    if key == "max_lcm":
+        return None if value is None else str(value)
+    if key == "maximizers":
+        return [[str(m) for m in t] for t in value]
+    return _generic(value)
+
+
 def _generic(value):
     if isinstance(value, Fraction):
         return rational_str(value)
@@ -92,14 +104,6 @@ def _generic(value):
     if isinstance(value, dict):
         return {k: _generic(v) for k, v in value.items()}
     return value
-
-
-def _big(value):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [_big(v) for v in value]
-    return str(value)
 
 
 def report_to_dict(report: VerificationReport) -> dict[str, Any]:
@@ -111,7 +115,7 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
         "counterexamples": [
             {
                 "claim": c.claim,
-                "values": _big(c.values),
+                "values": [str(m) for m in c.values],
                 "delta": rational_str(c.delta) if c.delta is not None else None,
                 "q": c.q,
             }
@@ -131,9 +135,5 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
     if report.budget_exceeded:
         out["budget_exceeded"] = True
     if report.details:
-        big_keys = {"max_lcm", "maximizers"}
-        out["details"] = {
-            k: (_big(v) if k in big_keys else _generic(v))
-            for k, v in report.details.items()
-        }
+        out["details"] = {k: _detail(k, v) for k, v in report.details.items()}
     return out

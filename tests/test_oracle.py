@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egyfrac import egyptian, oracle
@@ -516,22 +516,42 @@ def test_walk_matches_the_recursive_walk_when_cut_short(k, low, cap):
         ), budget
 
 
-def test_walk_yields_the_root_before_any_child(monkeypatch):
+# a walk of more nodes than this is compared over its first WALK_LIMIT
+WALK_LIMIT = 2000
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    share=st.fractions(min_value=0, max_value=1, max_denominator=12),
+    above=st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=6)),
+    budget=st.one_of(st.none(), st.integers(1, 60)),
+)
+@example(k=4, share=F(3, 8), above=F(0), budget=None)
+@example(k=5, share=F(1, 2), above=F(0), budget=40)
+@example(k=4, share=F(5, 12), above=F(1, 6), budget=None)
+def test_walk_matches_the_recursive_walk_on_random_input(k, share, above, budget):
+    # low = k * share lies in [0, k]; above = 0 makes the target exact;
+    # with budget None the walk runs to its end unless it has more than
+    # WALK_LIMIT nodes
+    low = k * share
+    cap = low + above
+    limit = budget or WALK_LIMIT
+    assert _yields(_closed_walk(k, low, cap), limit) == _yields(
+        _reference_closing_walk(k, low, cap), limit
+    )
+
+
+def test_walk_yields_the_root_before_any_child():
     # the frontier cell's walk takes seconds to finish; its first yield
-    # must not wait for any of it
-    calls = []
-    real = egyptian.position_range
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(egyptian, "position_range", counted)
+    # must not wait for any of it: the suspended walk has opened no level
     bound = sharp_sum_bound(7, F(11, 2), 2)
-    prefix, slots, side, num, den = next(walk(7, bound, 8))
+    walker = walk(7, bound, 8)
+    prefix, slots, side, num, den = next(walker)
     assert (prefix, slots, num, den) == ([], 7, 0, 1)
     assert side < 0
-    assert calls == []
+    state = walker.gi_frame.f_locals
+    assert (state["prefix"], state["stack"]) == ([], [])
 
 
 def test_max_lcm_frontier_cell_finishes():

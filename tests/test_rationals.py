@@ -1,5 +1,6 @@
 """Exact arithmetic helpers and the shortfall decomposition."""
 
+import dataclasses
 import math
 import random
 import re
@@ -111,6 +112,18 @@ def test_srq_frozen_examples():
     assert srq_decompose(0, 3) == SRQ(s=1, r=3, q=3)
     assert srq_decompose(2, 1) == SRQ(s=3, r=1, q=1)
     assert srq_decompose(Fraction(1, 2), 4) == SRQ(s=1, r=2, q=4)
+
+
+def test_srq_decompose_builds_an_ordinary_srq():
+    # srq_decompose skips SRQ's checks on the fields it derives, and
+    # nothing else: the value compares, hashes, prints and stays frozen
+    # like one built directly
+    d = srq_decompose(Fraction(5, 2), 4)
+    direct = SRQ(s=3, r=2, q=4)
+    assert (d, hash(d), repr(d)) == (direct, hash(direct), repr(direct))
+    assert d.delta == Fraction(5, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.r = 1
 
 
 def test_srq_invariants_enforced():

@@ -58,6 +58,39 @@ _LCM_FAMILIES = """\
         return EqualityFamily.SYLVESTER_LCM
 """
 
+# a walk's yield and the opening of its level, and the same walk with each
+# level opened before its prefix is yielded: the same yields, but the root's
+# first yield waits on its children's range
+_WALK_EXPANSION = """\
+        yield prefix, slots, side, num, den
+        if side < 0 and slots and slots != stop_at:
+            # position_range's bounds, with room cap - num/den and need
+            # low - num/den = -side/(b*den)
+            lo = -(d * den // (num * d - c * den))
+            if lo < m:
+                lo = m
+            hi = slots * b * den // -side
+            if lo <= hi:
+                if slots > 1:
+                    # the first child at once; the level keeps the next
+                    prefix.append(lo)
+                    stack.append([lo + 1, hi, num, den])
+"""
+_WALK_OPENS_BEFORE_YIELD = """\
+        if side < 0 and slots and slots != stop_at:
+            lo = -(d * den // (num * d - c * den))
+            if lo < m:
+                lo = m
+            hi = slots * b * den // -side
+            if slots > 1 and lo <= hi:
+                stack.append([lo + 1, hi, num, den])
+        yield prefix, slots, side, num, den
+        if side < 0 and slots and slots != stop_at:
+            if lo <= hi:
+                if slots > 1:
+                    prefix.append(lo)
+"""
+
 MUTANTS = [
     # the oracle's failure path: each claim and each way it is printed
     Mutant("sweep-skips-extremal-check", ORACLE,
@@ -79,8 +112,8 @@ MUTANTS = [
            (T_ORACLE + "test_window_names_each_prefix_counterexample",)),
     # budgets
     Mutant("window-budget-off-by-one", ORACLE,
-           "        if nodes > budget:\n            break\n        if num * top_den",
-           "        if nodes >= budget:\n            break\n        if num * top_den",
+           "        if nodes > budget:\n            break\n        if side < 0:",
+           "        if nodes >= budget:\n            break\n        if side < 0:",
            (T_ORACLE + "test_window_budget_exhaustion",)),
     Mutant("sweep-budget-off-by-one", ORACLE,
            "exceeded = nodes >= budget", "exceeded = nodes > budget",
@@ -164,10 +197,30 @@ MUTANTS = [
             T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_walker_matches_reference")),
     Mutant("leaf-loop-starts-late", EGYPTIAN,
-           "for prefix[-1] in children:", "for prefix[-1] in children[1:]:",
+           "for prefix[-1] in range(lo, hi + 1):", "for prefix[-1] in range(lo + 1, hi + 1):",
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_walker_matches_reference",
             T_ORACLE + "test_window_frozen_cells")),
+    # each prefix's child range, computed in place
+    Mutant("walk-child-range-unclamped", EGYPTIAN,
+           "            if lo < m:\n                lo = m\n", "",
+           (T_ORACLE + "test_walk_matches_the_recursive_walk",
+            T_ORACLE + "test_walk_matches_the_recursive_walk_on_random_input",
+            T_ORACLE + "test_window_walker_matches_reference",
+            T_ORACLE + "test_window_frozen_cells")),
+    Mutant("walk-child-range-one-past-hi", EGYPTIAN,
+           "hi = slots * b * den // -side", "hi = slots * b * den // -side + 1",
+           (T_ORACLE + "test_walk_matches_the_recursive_walk",
+            T_ORACLE + "test_walk_matches_the_recursive_walk_on_random_input",
+            T_ORACLE + "test_window_walker_matches_reference",
+            T_ORACLE + "test_window_frozen_cells")),
+    Mutant("walk-room-floor-for-ceiling", EGYPTIAN,
+           "lo = -(d * den // (num * d - c * den))", "lo = d * den // (c * den - num * d)",
+           (T_ORACLE + "test_walk_matches_the_recursive_walk",
+            T_ORACLE + "test_walk_matches_the_recursive_walk_on_random_input")),
+    Mutant("walk-opens-root-level-first", EGYPTIAN,
+           _WALK_EXPANSION, _WALK_OPENS_BEFORE_YIELD,
+           (T_ORACLE + "test_walk_yields_the_root_before_any_child",)),
     Mutant("leaf-steps-sum-by-den", EGYPTIAN,
            "leaf_num += num", "leaf_num += den",
            (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
@@ -217,6 +270,10 @@ MUTANTS = [
            "x % p == residue])", "x % p == residue], reverse=True)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_EGYPTIAN + "test_two_term_pairs_match_the_divisor_method")),
+    # max_lcm_search's details, converted without _generic's walk
+    Mutant("detail-max-lcm-unconverted", REPORT,
+           "return None if value is None else str(value)", "return value",
+           (T_ORACLE + "test_report_json_is_pinned[lcm-ties]",)),
     # extremal patterns and classification
     Mutant("pattern-builds-before-divisibility", BOUNDS,
            "        if num % d.r:\n            return None\n"
