@@ -83,10 +83,7 @@ def lcm_bound(delta, q: int) -> Fraction:
     Defined only for delta >= 0: below that s = 0, where u is undefined, and
     the class of tuples is empty anyway. Negative delta is a hard error.
     """
-    delta = as_rational(delta)
-    if delta.numerator < 0:
-        raise ValueError(f"lcm bound requires delta >= 0, got {delta}")
-    return _lcm_bound(srq_decompose(delta, q))
+    return _lcm_bound(srq_decompose(as_rational(delta, "delta", 0), q))
 
 
 def _lcm_bound(d: SRQ) -> Fraction:
@@ -136,9 +133,7 @@ def extremal_lcm_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     and to attain lcm_bound.
     """
     as_int(k, "k")
-    delta = as_rational(delta)
-    if delta.numerator < 0:
-        raise ValueError(f"extremal lcm tuple requires delta >= 0, got {delta}")
+    delta = as_rational(delta, "delta", 0)
     t = _pattern(k, srq_decompose(delta, q), 0)
     if t is not None:
         assert tuple_sum(t) == k - delta

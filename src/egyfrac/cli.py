@@ -69,8 +69,6 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _denominators(text: str) -> tuple[int, ...]:
@@ -377,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         print(f"egyfrac: error: {e}", file=sys.stderr)
         return 1
 

@@ -48,9 +48,7 @@ def greedy(x) -> EgyptianTuple:
     >>> greedy(Fraction(5, 6))
     (2, 3)
     """
-    x = as_rational(x)
-    if x < 0:
-        raise ValueError(f"greedy needs a nonnegative input, got {x}")
+    x = as_rational(x, "x", 0)
     out = []
     while x:
         m = -(-x.denominator // x.numerator)  # ceil(1/x)
@@ -255,9 +253,7 @@ def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
     The target is exact, so walk stops two slots short, and each prefix it
     yields there is completed by the pairs close_pairs returns.
     """
-    x = as_rational(x)
-    if x < 0:
-        raise ValueError(f"target sum must be nonnegative, got {x}")
+    x = as_rational(x, "target sum", 0)
     as_int(k, "term count", 0)
     for prefix, slots, side, _, den in walk(k, x, x):
         if slots == 2 and side < 0:

@@ -90,10 +90,7 @@ def deficiency(ls: LogStructure) -> Fraction:
 
 def _threshold(dim: int, t) -> Fraction:
     as_int(dim, "dimension")
-    t = as_rational(t)
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
-    return t
+    return as_rational(t, "threshold", 0)
 
 
 def gap_bound(dim: int, t, q: int) -> Fraction:

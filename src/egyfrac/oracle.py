@@ -166,9 +166,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     """
     as_int(k, "k")
     as_int(budget, "budget")
-    delta = as_rational(delta)
-    if delta.numerator < 0:
-        raise ValueError(f"lcm bound requires delta >= 0, got {delta}")
+    delta = as_rational(delta, "delta", 0)
     d = srq_decompose(delta, q)
     bound = _lcm_bound(d)
     target = Fraction(k * delta.denominator - delta.numerator, delta.denominator)
@@ -270,10 +268,7 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
     """
     as_int(k_max, "k_max", 0)
     as_int(budget, "budget")
-    deltas = tuple(as_rational(d) for d in deltas)
-    for d in deltas:
-        if d < -1:
-            raise ValueError(f"delta must be >= -1, got {d}")
+    deltas = tuple(as_rational(d, "delta", -1) for d in deltas)
     pairs = _delta_qs(deltas, q_mode)
     cells = [(delta, q, k) for delta, q in pairs for k in range(1, k_max + 1)]
     gap = (window_search, extremal_gap_tuple, "gap")

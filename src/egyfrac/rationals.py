@@ -24,18 +24,24 @@ def parse_rational(text: str) -> Fraction:
     """Parse the wire format '3', '-5/6', '+7/2'. Floats are rejected."""
     if not _RATIONAL_FORMAT.fullmatch(text):
         raise ValueError(f"malformed rational literal: {text!r}")
-    return Fraction(text)  # raises ZeroDivisionError on 'p/0'
+    return as_rational(text)
 
 
-def as_rational(x) -> Fraction:
+def as_rational(x, name: str = "", least: int | None = None) -> Fraction:
     """x as a Fraction: x itself if it is one, else anything `Fraction`
-    takes, such as an int or the string "3/2". Floats are refused, since
-    they are not exact."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise ValueError(f"rationals must be exact, got the float {x!r}")
-    return Fraction(x)
+    takes, such as an int or the string "3/2". A float is refused, since it
+    is not exact, and so is a zero denominator; when least is given, so is
+    an x below it, by an integer compare of numerator and denominator."""
+    if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise ValueError(f"rationals must be exact, got the float {x!r}")
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    if least is not None and x.numerator < least * x.denominator:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
+    return x
 
 
 def as_int(x, name: str, least: int = 1) -> int:
@@ -132,9 +138,9 @@ def srq_decompose(delta, q: int) -> SRQ:
     """
     delta = as_rational(delta)
     as_int(q, "q")
+    # the floor after q, so a bad q is named before a low delta
+    as_rational(delta, "delta", -1)
     n, d = delta.numerator, delta.denominator
-    if n < -d:
-        raise ValueError(f"delta must be >= -1, got {delta}")
     if q % d:
         raise ValueError(f"q*delta must be an integer, got q={q}, delta={delta}")
     s = n // d + 1

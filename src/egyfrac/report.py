@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from .rationals import rational_str
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -75,34 +73,21 @@ class VerificationReport:
 # mathematical integers travel as decimal strings (they outgrow 64 bits);
 # rationals as 'p/q'; structural ints (k, q, counts) stay JSON numbers
 def _parameter(value):
-    # a search's parameters are ints and Fractions, converted here without
-    # _generic's walk; a sweep's list of deltas goes through it
-    if type(value) is int:
-        return value
+    # parameters are ints, strings, Fractions and a sweep's list of deltas
     if type(value) is Fraction:
         return str(value)
-    return _generic(value)
+    if type(value) is list:
+        return [str(v) for v in value]
+    return value
 
 
 def _detail(key: str, value):
-    # max_lcm_search's three keys, converted without _generic's walk: a
-    # count, an lcm (None for an empty class) and the tuples attaining it
-    if key == "class_size":
-        return value
+    # max_lcm_search's three keys: a count, an lcm (None for an empty
+    # class) and the tuples attaining it
     if key == "max_lcm":
         return None if value is None else str(value)
     if key == "maximizers":
         return [[str(m) for m in t] for t in value]
-    return _generic(value)
-
-
-def _generic(value):
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, (list, tuple)):
-        return [_generic(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _generic(v) for k, v in value.items()}
     return value
 
 
@@ -116,7 +101,7 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
             {
                 "claim": c.claim,
                 "values": [str(m) for m in c.values],
-                "delta": rational_str(c.delta) if c.delta is not None else None,
+                "delta": str(c.delta) if c.delta is not None else None,
                 "q": c.q,
             }
             for c in report.counterexamples

@@ -567,7 +567,7 @@ def _reference_sharp(k, delta, q):
 def _reference_lcm_bound(delta, q):
     delta = Fraction(delta)
     if delta < 0:
-        raise ValueError(f"lcm bound requires delta >= 0, got {delta}")
+        raise ValueError(f"delta must be >= 0, got {delta}")
     d = _reference_srq(delta, q)
     return Fraction(sylvester_u(d.s, q), d.r)
 

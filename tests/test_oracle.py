@@ -933,7 +933,7 @@ BAD_SEARCH_ARGUMENTS = [
     ((3, 2, 1), {"budget": 0}, "budget must be a positive integer, got 0", None),
     ((3, "x", 1), {}, "Invalid literal for Fraction: 'x'", None),
     ((3, -2, 1), {}, "delta must be >= -1, got -2",
-     "lcm bound requires delta >= 0, got -2"),
+     "delta must be >= 0, got -2"),
     ((3, F(1, 3), 1), {}, "q*delta must be an integer, got q=1, delta=1/3", None),
     ((3, 2, 0), {}, "q must be a positive integer, got 0", None),
 ]

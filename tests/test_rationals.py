@@ -23,6 +23,7 @@ from egyfrac.egyptian import (
     enumerate_deficiency,
     enumerate_exact,
     greedy,
+    iter_exact,
     split_expand,
     tuple_lcm,
     tuple_sum,
@@ -34,6 +35,7 @@ from egyfrac.geometry import (
     index_bound,
     refined_index_bound,
 )
+from egyfrac.majorization import positive_sequence
 from egyfrac.oracle import lcm_square_check, max_lcm_search, sweep, window_search
 from egyfrac.rationals import (
     SRQ,
@@ -66,9 +68,9 @@ def test_parse_rational_rejects(bad):
 
 
 def test_parse_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
         parse_rational("1/0")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/00'$"):
         parse_rational("1/00")
 
 
@@ -169,7 +171,7 @@ def test_srq_decompose_round_trip_property(q, data):
 
 
 def test_srq_decompose_formula_cases():
-    # n < -d refuses exactly the delta below -1
+    # the gate's floor, n < -d in integers, refuses exactly the delta below -1
     assert srq_decompose(Fraction(-1), 1) == SRQ(s=0, r=1, q=1)
     with pytest.raises(ValueError, match=r"delta must be >= -1, got -7/6"):
         srq_decompose(Fraction(-7, 6), 6)
@@ -322,6 +324,62 @@ def test_as_int_returns_valid_integers_unchanged():
     # a reciprocal sum and an lcm take their denominators in any order
     assert tuple_sum((6, 2, 3)) == 1
     assert tuple_lcm((6, 2, 3)) == 6
+
+
+# one row per public rational input, all through as_rational: a call with
+# that input set to x, the name and the floor its error gives it (None for
+# an input with no floor), and a value the call takes with what it returns,
+# the floor itself where there is one
+RATIONAL_PARAMETERS = [
+    # delta >= -1: the gap bound's s >= 0
+    ("srq_decompose", lambda x: dataclasses.astuple(srq_decompose(x, 2)), "delta", -1, -1,
+     (0, 2, 2)),
+    ("sharp_sum_bound", lambda x: sharp_sum_bound(3, x, 2), "delta", -1, -1, 3),
+    ("gap_amount", lambda x: gap_amount(x, 2), "delta", -1, -1, 1),
+    ("extremal_gap_tuple", lambda x: extremal_gap_tuple(3, x, 2), "delta", -1, -1, (1, 1, 1)),
+    ("classify_equality", lambda x: classify_equality((1, 1, 1), x, 2).tag.name,
+     "delta", -1, -1, "NEGATIVE_DELTA"),
+    ("window_search", lambda x: window_search(3, x, 2).passed, "delta", -1, -1, True),
+    ("sweep", lambda x: sweep(2, [x]).passed, "delta", -1, -1, True),
+    # delta >= 0: the lcm bound's s >= 1
+    ("lcm_bound", lambda x: lcm_bound(x, 2), "delta", 0, 0, 1),
+    ("extremal_lcm_tuple", lambda x: extremal_lcm_tuple(3, x, 2), "delta", 0, 0, (1, 1, 1)),
+    ("max_lcm_search", lambda x: max_lcm_search(3, x, 2).passed, "delta", 0, 0, True),
+    # x and a target sum >= 0
+    ("greedy", greedy, "x", 0, 0, ()),
+    ("iter_exact", lambda x: list(iter_exact(x, 0)), "target sum", 0, 0, [()]),
+    ("enumerate_exact", lambda x: enumerate_exact(x, 0), "target sum", 0, 0, [()]),
+    # a volume threshold >= 0
+    ("gap_bound", lambda x: gap_bound(1, x, 2), "threshold", 0, 0, Fraction(1, 903)),
+    ("index_bound", lambda x: index_bound(1, x, 2), "threshold", 0, 0, 21),
+    ("refined_index_bound", lambda x: refined_index_bound(1, 0, x, 2),
+     "threshold", 0, 0, 21),
+    # no floor; positive_sequence checks its entries positive on its own
+    ("floor_frac", floor_frac, None, None, Fraction(-7, 2), (-4, Fraction(1, 2))),
+    ("canonical_q", canonical_q, None, None, Fraction(-7, 2), 2),
+    ("rational_str", rational_str, None, None, Fraction(-7, 2), "-7/2"),
+    ("positive_sequence", lambda x: positive_sequence([x]), None, None, "1/2",
+     (Fraction(1, 2),)),
+]
+
+
+@pytest.mark.parametrize("call, name, least, accepted, result",
+                         [c[1:] for c in RATIONAL_PARAMETERS],
+                         ids=[c[0] for c in RATIONAL_PARAMETERS])
+def test_rational_inputs_are_refused_below_their_floor(call, name, least, accepted,
+                                                       result):
+    # a float, even a whole one, a zero denominator and the floor less a
+    # half, each with the gate's message, then the floor itself accepted
+    refusals = [(bad, f"rationals must be exact, got the float {bad!r}") for bad in (0.5, 2.0)]
+    refusals.append(("1/0", "zero denominator in '1/0'"))
+    if least is not None:
+        below = least - Fraction(1, 2)
+        refusals.append((below, f"{name} must be >= {least}, got {below}"))
+    for bad, message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    assert least is None or accepted == least
+    assert call(accepted) == result
 
 
 def test_near_one_examples():

@@ -270,7 +270,8 @@ MUTANTS = [
            "x % p == residue])", "x % p == residue], reverse=True)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_EGYPTIAN + "test_two_term_pairs_match_the_divisor_method")),
-    # max_lcm_search's details, converted without _generic's walk
+    # max_lcm_search's largest lcm, a decimal string in JSON like every
+    # mathematical integer
     Mutant("detail-max-lcm-unconverted", REPORT,
            "return None if value is None else str(value)", "return value",
            (T_ORACLE + "test_report_json_is_pinned[lcm-ties]",)),
@@ -302,7 +303,7 @@ MUTANTS = [
            (T_BOUNDS + "test_classify_matches_the_reference_on_arbitrary_tuples",)),
     # the decomposition and the bounds on integer pairs
     Mutant("srq-refuses-delta-minus-one", RATIONALS,
-           "    if n < -d:", "    if n <= -d:",
+           "x.numerator < least * x.denominator", "x.numerator <= least * x.denominator",
            (T_RATIONALS + "test_srq_decompose_formula_cases",
             T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference")),
     Mutant("srq-integrality-test-dropped", RATIONALS,
@@ -325,6 +326,20 @@ MUTANTS = [
            "    if isinstance(x, float):\n", "    if False:\n",
            (T_RATIONALS + "test_floats_are_refused",
             T_MAJORIZATION + "test_floats_are_refused")),
+    # the one rational gate: its floor, and a zero denominator as a ValueError
+    Mutant("gate-ignores-least", RATIONALS,
+           "    if least is not None and x.numerator < least * x.denominator:",
+           "    if False:",
+           (T_RATIONALS + "test_rational_inputs_are_refused_below_their_floor",
+            T_RATIONALS + "test_srq_decompose_formula_cases",
+            T_ORACLE + "test_searches_name_each_bad_argument")),
+    Mutant("zero-denominator-escapes", RATIONALS,
+           "        try:\n            x = Fraction(x)\n        except ZeroDivisionError:\n"
+           "            raise ValueError(f\"zero denominator in {x!r}\") from None\n",
+           "        x = Fraction(x)\n",
+           (T_RATIONALS + "test_parse_rational_zero_denominator",
+            T_RATIONALS + "test_rational_inputs_are_refused_below_their_floor",
+            T_CLI + "test_zero_denominator_usage_error")),
     # the one integer gate, and a caller that skips it
     Mutant("bool-integers-accepted", RATIONALS,
            "    if type(x) is not int or x < least:",
