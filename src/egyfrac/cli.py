@@ -43,7 +43,7 @@ from .geometry import (
     volume,
 )
 from .oracle import DEFAULT_BUDGET, sweep
-from .rationals import canonical_q, parse_rational, rational_str
+from .rationals import RATIONAL_LITERAL, canonical_q, parse_int, parse_rational, rational_str
 from .report import report_to_dict
 from .sylvester import sylvester_u
 
@@ -55,53 +55,47 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # let values like '-1', '-1/2', or '-1,0,1/2' follow an option without
         # being mistaken for flags, so '--delta-list -1,0,1' needs no '='
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(?:/\d+)?(?:,[+-]?\d+(?:/\d+)?)*$"
-        )
+        literal = RATIONAL_LITERAL.pattern
+        self._negative_number_matcher = re.compile(f"(?=-){literal}(?:,{literal})*$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _rational(text: str) -> Fraction:
+def _checked(parse, text: str):
+    """parse(text), with its ValueError turned into a usage error."""
     try:
-        return parse_rational(text)
+        return parse(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _denominators(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+# the argparse types look their parser up when called, not when the cached
+# parser is built, so a parser wrapped later, as by a tracer, is the one run
+def _int(text: str) -> int:
+    return _checked(parse_int, text)
 
 
-def _rational_list(text: str) -> tuple[Fraction, ...]:
-    return tuple(_rational(part) for part in text.split(","))
+def _rational(text: str) -> Fraction:
+    return _checked(parse_rational, text)
 
 
-def _coefficients(text: str) -> tuple[StandardCoefficient, ...]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if token == "one":
-            out.append(ONE)
-        elif token.startswith("m:"):
-            try:
-                out.append(StandardCoefficient(int(token[2:])))
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"bad coefficient token {token!r}"
-                ) from None
-        else:
-            raise argparse.ArgumentTypeError(
-                f"bad coefficient token {token!r}; use 'm:N' or 'one'"
-            )
-    return tuple(out)
+def _list_of(convert):
+    """An argparse type for comma-separated values, each read by convert."""
+    return lambda text: tuple(convert(part) for part in text.split(","))
+
+
+def _coefficient(token: str) -> StandardCoefficient:
+    token = token.strip()
+    if token == "one":
+        return ONE
+    if token.startswith("m:"):
+        try:
+            return StandardCoefficient(parse_int(token[2:]))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad coefficient token {token!r}") from None
+    raise argparse.ArgumentTypeError(f"bad coefficient token {token!r}; use 'm:N' or 'one'")
 
 
 def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
@@ -312,47 +306,47 @@ def build_parser() -> _Parser:
 
     p = add("split", cmd_split, "split one denominator via 1/m = 1/(m+1) + 1/(m(m+1))",
             tuples)
-    p.add_argument("denominators", type=_denominators, help="comma-separated tuple, e.g. 2,3")
-    p.add_argument("--at", type=int, required=True, help="1-based position to split")
+    p.add_argument("denominators", type=_list_of(_int), help="comma-separated tuple, e.g. 2,3")
+    p.add_argument("--at", type=_int, required=True, help="1-based position to split")
 
     p = add("enumerate", cmd_enumerate, "all k-term representations of a rational", tuples)
     p.add_argument("--sum", type=_rational, required=True, dest="sum")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_int, required=True)
 
     p = add("gap", cmd_gap, "forbidden-window width below k - delta")
     p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--q", type=int, default=None, help="default: canonical q of delta")
-    p.add_argument("--k", type=int, default=None, help="also print the sharp sum bound")
+    p.add_argument("--q", type=_int, default=None, help="default: canonical q of delta")
+    p.add_argument("--k", type=_int, default=None, help="also print the sharp sum bound")
 
     p = add("lcm-bound", cmd_lcm_bound, "lcm bound over the class summing to k - delta")
     p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--q", type=_int, default=None)
 
     p = add("extremal", cmd_extremal, "tuple attaining a sharp bound, if any", tuples)
     p.add_argument("--kind", choices=("gap", "lcm"), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--q", type=_int, default=None)
 
     p = add("sylvester", cmd_sylvester, "generalized Sylvester values u and t = 1 + u")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.add_argument("--table", action="store_true", help="print all rows up to p")
 
     p = add("oracle", cmd_oracle, "exhaustive bound verification over a grid")
-    p.add_argument("--k-max", type=int, required=True, dest="k_max")
-    p.add_argument("--delta-list", type=_rational_list, required=True, dest="delta_list")
+    p.add_argument("--k-max", type=_int, required=True, dest="k_max")
+    p.add_argument("--delta-list", type=_list_of(_rational), required=True, dest="delta_list")
     p.add_argument("--q-mode", default="canonical", dest="q_mode",
                    help="'canonical' or 'all-upto:N'")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET,
                    help=f"node budget (default {DEFAULT_BUDGET})")
 
     p = add("geometry", cmd_geometry, "volume, clearing index, and bounds for a log structure")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--coeffs", type=_coefficients, required=True,
+    p.add_argument("--dim", type=_int, required=True)
+    p.add_argument("--coeffs", type=_list_of(_coefficient), required=True,
                    help="comma-separated coefficients, e.g. 'm:2,m:3,one'")
     p.add_argument("--t", type=_rational, default=None, help="threshold (default: volume)")
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--q", type=_int, default=None)
 
     return parser
 

@@ -44,8 +44,8 @@ def _validated(entries: Iterable) -> tuple[PositiveSequence, Pairs]:
 def positive_sequence(entries: Iterable) -> PositiveSequence:
     """Validate and freeze a nonincreasing sequence of positive rationals.
 
-    Entries are ints, Fractions or anything else `Fraction` takes, such as
-    the string "3/2"; floats are refused, since they are not exact.
+    Each entry passes `as_rational`: an int, a Fraction or a wire-format
+    string such as "3/2"; floats, bools and other strings are refused.
     """
     return _validated(entries)[0]
 

@@ -29,7 +29,7 @@ from .bounds import (
     extremal_lcm_tuple,
 )
 from .egyptian import as_tuple, close_pairs, walk
-from .rationals import SRQ, as_int, as_rational, canonical_q, reduced, srq_decompose
+from .rationals import SRQ, as_int, as_rational, canonical_q, parse_int, reduced, srq_decompose
 from .report import Counterexample, EqualityWitness, VerificationReport
 
 DEFAULT_BUDGET = 10**8
@@ -237,7 +237,7 @@ def _delta_qs(deltas: tuple[Fraction, ...], q_mode: str) -> list[tuple[Fraction,
     if not q_mode.startswith("all-upto:"):
         raise ValueError(f"unknown q mode: {q_mode!r}")
     try:
-        limit = int(q_mode.split(":", 1)[1])
+        limit = parse_int(q_mode.split(":", 1)[1])
     except ValueError:
         raise ValueError(f"malformed q mode: {q_mode!r}") from None
     pairs = []

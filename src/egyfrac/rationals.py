@@ -5,6 +5,9 @@ stored reduced, denominator positive, so equality is structural and values
 hash cleanly. There is no floating point anywhere: a float input is
 refused, not converted. Every integer argument, a count, an index or a
 modulus, passes through `as_int`, which refuses bools and floats alike.
+Text has one number grammar, the wire format: `INTEGER_LITERAL`, an optional
+sign and ASCII digits, read by `parse_int`, and `RATIONAL_LITERAL`, that and
+an optional '/digits', which every string given to `as_rational` must match.
 """
 
 from __future__ import annotations
@@ -16,25 +19,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-# wire format: optional sign, digits, optional '/digits' -- no floats
-_RATIONAL_FORMAT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+INTEGER_LITERAL = re.compile(r"[+-]?[0-9]+")
+RATIONAL_LITERAL = re.compile(INTEGER_LITERAL.pattern + r"(?:/[0-9]+)?")
+
+
+def parse_int(text: str) -> int:
+    """Parse the wire format '3', '-5', '+7'."""
+    if not INTEGER_LITERAL.fullmatch(text):
+        raise ValueError(f"malformed integer literal: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format '3', '-5/6', '+7/2'. Floats are rejected."""
-    if not _RATIONAL_FORMAT.fullmatch(text):
-        raise ValueError(f"malformed rational literal: {text!r}")
+    """Parse the wire format '3', '-5/6', '+7/2', as `as_rational` does."""
     return as_rational(text)
 
 
 def as_rational(x, name: str = "", least: int | None = None) -> Fraction:
-    """x as a Fraction: x itself if it is one, else anything `Fraction`
-    takes, such as an int or the string "3/2". A float is refused, since it
-    is not exact, and so is a zero denominator; when least is given, so is
-    an x below it, by an integer compare of numerator and denominator."""
+    """x as a Fraction: x itself if it is one, else Fraction(x) of a number
+    such as an int, or of a wire-format string such as "3/2". A float or a
+    bool is refused, and so is a zero denominator; when least is given, so
+    is an x below it, by an integer compare of numerator and denominator."""
     if type(x) is not Fraction:
-        if isinstance(x, float):
-            raise ValueError(f"rationals must be exact, got the float {x!r}")
+        if isinstance(x, (bool, float)):
+            raise ValueError(f"rationals must be exact, got the {type(x).__name__} {x!r}")
+        if isinstance(x, str) and not RATIONAL_LITERAL.fullmatch(x):
+            raise ValueError(f"malformed rational literal: {x!r}")
         try:
             x = Fraction(x)
         except ZeroDivisionError:

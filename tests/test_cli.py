@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through main(argv): formats, exit codes, env."""
 
+import contextlib
 import doctest
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egyfrac import __version__, cli
 from egyfrac.bounds import EqualityCase, EqualityFamily
@@ -218,7 +222,25 @@ def test_version_and_usage_errors(capsys):
     assert "malformed rational" in err
     code, _, err = run(capsys, "split", "2,x", "--at", "1")
     assert code == 1
-    assert "argument denominators: expected comma-separated integers, got '2,x'" in err
+    assert "argument denominators: malformed integer literal: 'x'" in err
+
+
+# integers that Python's int() reads but the wire format refuses: an
+# underscore, a space and non-ASCII digits (Arabic-Indic 2 and 7)
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--delta", "2", "--k", "1_0"], "argument --k: malformed integer literal: '1_0'"),
+    (["gap", "--delta", "2", "--k", " 3"], "argument --k: malformed integer literal: ' 3'"),
+    (["split", "2,3", "--at", "\u0662"], "argument --at: malformed integer literal: '\u0662'"),
+    (["geometry", "--dim", "1", "--coeffs", "m:\u0667"],
+     "argument --coeffs: bad coefficient token 'm:\u0667'"),
+    (["oracle", "--k-max", "1", "--delta-list", "1", "--q-mode", "all-upto:1_0"],
+     "egyfrac: error: malformed q mode: 'all-upto:1_0'"),
+], ids=["gap-k-underscore", "gap-k-space", "split-at-digit", "geometry-coeff-digit",
+        "oracle-q-mode-underscore"])
+def test_integers_outside_the_wire_format_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert message in err.splitlines()[-1]
 
 
 def test_zero_denominator_usage_error(capsys):
@@ -515,3 +537,77 @@ def test_outputs_do_not_depend_on_call_order(capsys, fresh_parser):
         assert ahead == behind, argv
     codes = [code for code, _, _ in forward]
     assert codes.count(0) == len(ORDER_ARGVS) - 4  # the usage, domain and csv errors
+
+
+# the fuzz's values. Each option draws from its own values, which hold the
+# edges 0 and -1 and, where it is refused or answered at once, _HUGE (a
+# huge greedy x or all-upto:N does not finish, and a huge extremal --k
+# overflows); one time in eight it draws a bad value instead: outside the
+# wire format, a zero denominator or, for a few options, a bad token of
+# their own
+_HUGE = "1" + "0" * 30
+_BAD = ["1/0", "1_0", " 3", "3.5", "\u0662"]
+_SMALL_INTS = ["0", "1", "2", "3", "-1"]
+_INTS = [*_SMALL_INTS, "7", _HUGE]
+_SMALL_RATIONALS = ["0", "1", "1/2", "5/6", "3/2", "7/2", "1/12", "-1/2", "-1", "-2"]
+_RATIONALS = [*_SMALL_RATIONALS, _HUGE, "1/" + _HUGE]
+
+# per command, each option, its values and its bad values ("" is the
+# positional argument; a tuple of values is drawn as a list of one to three
+# joined by commas; a flag has no values)
+_FUZZ_OPTIONS = {
+    "greedy": [("", _SMALL_RATIONALS + ["1/" + _HUGE], _BAD)],
+    "split": [("", tuple(_INTS), _BAD), ("--at", _INTS, _BAD)],
+    "enumerate": [("--sum", _SMALL_RATIONALS, _BAD), ("--terms", _SMALL_INTS, _BAD)],
+    "gap": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD), ("--k", _INTS, _BAD)],
+    "lcm-bound": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
+    "extremal": [("--kind", ["gap", "lcm"], ["sum"]), ("--k", _SMALL_INTS, _BAD),
+                 ("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
+    "sylvester": [("--p", _INTS, _BAD), ("--q", _INTS, _BAD), ("--table", None, None)],
+    "oracle": [("--k-max", _SMALL_INTS, _BAD), ("--delta-list", tuple(_RATIONALS), _BAD),
+               ("--q-mode", ["canonical", "all-upto:2", "all-upto:12", "all-upto:0"],
+                ["all-upto: 2", "all-upto:1_0", "all-upto:\u0662", "upto"]),
+               ("--budget", ["1", "100", "10000", "0", "-1"], _BAD)],
+    "geometry": [("--dim", _INTS, _BAD),
+                 ("--coeffs", ("one", "m:1", "m:2", "m:3", "m:7", "m:" + _HUGE),
+                  ["m:0", "m:-1", "m:\u0667", "m: 2", "m:1_0", "two"]),
+                 ("--t", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    def one_in_eight():
+        return draw(st.integers(0, 7)) == 0
+
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [command]
+    for option, values, bad in _FUZZ_OPTIONS[command]:
+        if one_in_eight():  # left out, required or not
+            continue
+        if values is None:
+            argv.append(option)
+            continue
+        count = draw(st.integers(1, 3)) if isinstance(values, tuple) else 1
+        text = ",".join(draw(st.sampled_from(bad if one_in_eight() else values))
+                        for _ in range(count))
+        argv += [option, text] if option else [text]
+    formats = ("text", "json", "csv") if command in CSV_COMMANDS else ("text", "json")
+    if one_in_eight():
+        formats = ("csv", "xml")
+    return argv + ["--format", draw(st.sampled_from(formats))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cli_argv())
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert any(line.startswith(("egyfrac: error:", "usage:"))
+                   for line in err.getvalue().splitlines())
+    if code == 2:
+        assert argv[0] == "oracle"

@@ -27,7 +27,13 @@ F = Fraction
 def test_positive_sequence_validates():
     assert positive_sequence([3, 2, 2]) == (F(3), F(2), F(2))
     assert positive_sequence(()) == ()
-    assert positive_sequence([F(5, 2), "3/2", True, "0.5"]) == (F(5, 2), F(3, 2), F(1), F(1, 2))
+    assert positive_sequence([F(5, 2), "3/2", 1]) == (F(5, 2), F(3, 2), F(1))
+    # every entry passes the rational gate: no bool, and a string only in
+    # the wire format
+    with pytest.raises(ValueError, match="^rationals must be exact, got the bool True$"):
+        positive_sequence([2, True])
+    with pytest.raises(ValueError, match=r"^malformed rational literal: '0\.5'$"):
+        positive_sequence([1, "0.5"])
     with pytest.raises(ValueError):
         positive_sequence([2, 3])  # increasing step
     with pytest.raises(ValueError):

@@ -931,7 +931,7 @@ def test_report_json_is_pinned(run, expected):
 BAD_SEARCH_ARGUMENTS = [
     ((0, 2, 1), {}, "k must be a positive integer, got 0", None),
     ((3, 2, 1), {"budget": 0}, "budget must be a positive integer, got 0", None),
-    ((3, "x", 1), {}, "Invalid literal for Fraction: 'x'", None),
+    pytest.param((3, "x", 1), {}, "malformed rational literal: 'x'", None, id="string-x"),
     ((3, -2, 1), {}, "delta must be >= -1, got -2",
      "delta must be >= 0, got -2"),
     ((3, F(1, 3), 1), {}, "q*delta must be an integer, got q=1, delta=1/3", None),

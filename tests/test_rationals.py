@@ -44,6 +44,7 @@ from egyfrac.rationals import (
     canonical_q,
     floor_frac,
     near_one_check,
+    parse_int,
     parse_rational,
     rational_str,
     reduced,
@@ -60,11 +61,22 @@ def test_parse_rational_grammar():
 
 
 @pytest.mark.parametrize(
-    "bad", ["1.5", "1e3", "1/2/3", "", " 1/2", "1/2 ", "1/-2", "--1", "a/b"]
+    "bad", ["1.5", "1e3", "1/2/3", "", " 1/2", "1/2 ", "1/-2", "--1", "a/b", "1_000",
+            "\u0663/\u0664"]
 )
 def test_parse_rational_rejects(bad):
-    with pytest.raises(ValueError):
+    message = f"malformed rational literal: {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_rational(bad)
+
+
+def test_parse_int_grammar():
+    assert [parse_int(t) for t in ("3", "-5", "+7", "0", "007")] == [3, -5, 7, 0, 7]
+    assert parse_int("9" * 100) == 10**100 - 1
+    for bad in ("", "+", "--1", "1_0", " 3", "3 ", "1.0", "1e3", "1/2", "0x10", "\u0662"):
+        message = f"malformed integer literal: {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_int(bad)
 
 
 def test_parse_rational_zero_denominator():
@@ -326,6 +338,12 @@ def test_as_int_returns_valid_integers_unchanged():
     assert tuple_lcm((6, 2, 3)) == 6
 
 
+# strings that Fraction reads but the wire format refuses: an exponent,
+# spaces, an underscore, a decimal point and non-ASCII digits (3/4 in
+# Arabic-Indic)
+NOT_WIRE_FORMAT = ["1e-3", " 3/2 ", "1_000", "3.5", "\u0663/\u0664"]
+
+
 # one row per public rational input, all through as_rational: a call with
 # that input set to x, the name and the floor its error gives it (None for
 # an input with no floor), and a value the call takes with what it returns,
@@ -368,9 +386,12 @@ RATIONAL_PARAMETERS = [
                          ids=[c[0] for c in RATIONAL_PARAMETERS])
 def test_rational_inputs_are_refused_below_their_floor(call, name, least, accepted,
                                                        result):
-    # a float, even a whole one, a zero denominator and the floor less a
-    # half, each with the gate's message, then the floor itself accepted
+    # a float, even a whole one, a bool, a string outside the wire format, a
+    # zero denominator and the floor less a half, each with the gate's
+    # message, then the floor itself accepted
     refusals = [(bad, f"rationals must be exact, got the float {bad!r}") for bad in (0.5, 2.0)]
+    refusals.append((True, "rationals must be exact, got the bool True"))
+    refusals += [(bad, f"malformed rational literal: {bad!r}") for bad in NOT_WIRE_FORMAT]
     refusals.append(("1/0", "zero denominator in '1/0'"))
     if least is not None:
         below = least - Fraction(1, 2)

@@ -323,9 +323,28 @@ MUTANTS = [
            (T_BOUNDS + "test_decomposition_and_bounds_match_the_fraction_reference",
             T_BOUNDS + "test_bounds_match_the_fraction_reference_on_random_input")),
     Mutant("float-rationals-accepted", RATIONALS,
-           "    if isinstance(x, float):\n", "    if False:\n",
+           "if isinstance(x, (bool, float)):", "if isinstance(x, bool):",
            (T_RATIONALS + "test_floats_are_refused",
             T_MAJORIZATION + "test_floats_are_refused")),
+    Mutant("bool-rationals-accepted", RATIONALS,
+           "if isinstance(x, (bool, float)):", "if isinstance(x, float):",
+           (T_RATIONALS + "test_rational_inputs_are_refused_below_their_floor",
+            T_MAJORIZATION + "test_positive_sequence_validates")),
+    # one number grammar: every string given to the rational gate, and every
+    # integer the CLI reads, must match the wire format
+    Mutant("string-skips-grammar", RATIONALS,
+           "        if isinstance(x, str) and not RATIONAL_LITERAL.fullmatch(x):\n",
+           "        if False:\n",
+           (T_RATIONALS + "test_parse_rational_rejects",
+            T_RATIONALS + "test_rational_inputs_are_refused_below_their_floor",
+            T_MAJORIZATION + "test_positive_sequence_validates",
+            T_ORACLE + "test_searches_name_each_bad_argument[string-x]",
+            T_CLI + "test_version_and_usage_errors")),
+    Mutant("cli-int-grammar-dropped", CLI,
+           "    return _checked(parse_int, text)", "    return _checked(int, text)",
+           (T_CLI + "test_integers_outside_the_wire_format_are_refused[gap-k-underscore]",
+            T_CLI + "test_integers_outside_the_wire_format_are_refused[gap-k-space]",
+            T_CLI + "test_integers_outside_the_wire_format_are_refused[split-at-digit]")),
     # the one rational gate: its floor, and a zero denominator as a ValueError
     Mutant("gate-ignores-least", RATIONALS,
            "    if least is not None and x.numerator < least * x.denominator:",
