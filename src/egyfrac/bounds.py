@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .egyptian import EgyptianTuple, as_tuple, tuple_lcm, tuple_sum
+from .egyptian import EgyptianTuple, as_tuple, check_terms, tuple_lcm, tuple_sum
 from .rationals import SRQ, as_int, as_rational, reduced, srq_decompose
 from .sylvester import sylvester_u
 
@@ -98,8 +98,9 @@ def _pattern(k: int, d: SRQ, closing: int) -> EgyptianTuple | None:
 
     closing=1 gives extremal_gap_tuple's shape, closing=0 extremal_lcm_tuple's.
     None when k < s, returned at the first entry r fails to divide, before
-    any later (larger) u is built.
+    any later (larger) u is built. A k past MAX_TERMS is refused first.
     """
+    check_terms(k, "k")
     if k < d.s:
         return None
     out = [1] * (k - d.s)

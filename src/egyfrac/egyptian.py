@@ -15,6 +15,17 @@ from .rationals import as_int, as_rational, srq_decompose
 
 EgyptianTuple = tuple[int, ...]
 
+# the most terms a tuple built here may hold, at the scale of
+# sylvester.MAX_BITS: greedy lists a 1 per unit of x and an extremal tuple
+# k - s ones, so a larger count is refused before any entry is built
+MAX_TERMS = 2**20
+
+
+def check_terms(count, name: str) -> None:
+    """Refuse a count of terms, or a value that needs as many, past MAX_TERMS."""
+    if count > MAX_TERMS:
+        raise ValueError(f"{name} = {count} asks for more than MAX_TERMS = {MAX_TERMS} terms")
+
 
 def as_tuple(denominators: Iterable[int]) -> EgyptianTuple:
     """Validate and freeze a nondecreasing tuple of positive denominators."""
@@ -44,11 +55,13 @@ def greedy(x) -> EgyptianTuple:
     The next denominator is the smallest m >= 1 with m*x >= 1, so integer
     inputs emit leading 1s. The reduced numerator of the remainder drops
     strictly every step, which bounds the term count and forces termination.
+    An x above MAX_TERMS, whose tuple would hold more terms, is refused.
 
     >>> greedy(Fraction(5, 6))
     (2, 3)
     """
     x = as_rational(x, "x", 0)
+    check_terms(x, "x")
     out = []
     while x:
         m = -(-x.denominator // x.numerator)  # ceil(1/x)

@@ -230,26 +230,29 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     return report.finish(nodes, nodes > budget)
 
 
-def _delta_qs(deltas: tuple[Fraction, ...], q_mode: str) -> list[tuple[Fraction, int]]:
-    """Each delta paired with each of its q, q_mode parsed before any delta."""
-    if q_mode == "canonical":
-        return [(delta, canonical_q(delta)) for delta in deltas]
-    if not q_mode.startswith("all-upto:"):
-        raise ValueError(f"unknown q mode: {q_mode!r}")
-    try:
-        limit = parse_int(q_mode.split(":", 1)[1])
-    except ValueError:
-        raise ValueError(f"malformed q mode: {q_mode!r}") from None
-    pairs = []
+def _q_ranges(deltas: tuple[Fraction, ...], q_mode: str) -> list[range]:
+    """Each delta's q, as one range of multiples of its canonical q: up to
+    that q itself for 'canonical', up to N for 'all-upto:N'. q_mode is
+    parsed, and every delta's range checked, before any search."""
+    limit = None  # 'canonical': each range stops at its start
+    if q_mode != "canonical":
+        if not q_mode.startswith("all-upto:"):
+            raise ValueError(f"unknown q mode: {q_mode!r}")
+        try:
+            limit = parse_int(q_mode.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"malformed q mode: {q_mode!r}") from None
+    ranges = []
     for delta in deltas:
         base = canonical_q(delta)
-        if limit < base:
+        qs = range(base, (base if limit is None else limit) + 1, base)
+        if not qs:
             raise ValueError(
                 f"q mode {q_mode!r} leaves no q for delta={delta}, "
                 f"whose canonical q is {base}"
             )
-        pairs += [(delta, q) for q in range(base, limit + 1, base)]
-    return pairs
+        ranges.append(qs)
+    return ranges
 
 
 def sweep(k_max: int, deltas, q_mode: str = "canonical",
@@ -262,22 +265,27 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
     'all-upto:N' (every multiple of the canonical q up to N; an N below
     some delta's canonical q is an error, not a skipped delta).
 
-    The report aggregates all counterexamples and witnesses; the searches
-    share budget, counted in walker nodes, and the sweep stops at the
-    search that runs out of it. An empty grid passes with zero stats.
+    The grid is produced in order (by delta, q, k; window before lcm) and
+    never listed, and parameters["cells"] is counted, so the node budget
+    alone bounds a sweep's time and memory. The report aggregates all
+    counterexamples and witnesses; the searches share the budget, counted
+    in walker nodes, and the sweep stops at the search that runs out of
+    it. An empty grid passes with zero stats.
     """
     as_int(k_max, "k_max", 0)
     as_int(budget, "budget")
     deltas = tuple(as_rational(d, "delta", -1) for d in deltas)
-    pairs = _delta_qs(deltas, q_mode)
-    cells = [(delta, q, k) for delta, q in pairs for k in range(1, k_max + 1)]
+    ranges = _q_ranges(deltas, q_mode)
     gap = (window_search, extremal_gap_tuple, "gap")
     lcm = (max_lcm_search, extremal_lcm_tuple, "lcm")
-    checks = [
+    # with k_max = 0 no q is walked: a huge range would yield no check
+    checks = (
         (k, delta, q, check)
-        for delta, q, k in cells
+        for delta, qs in (zip(deltas, ranges) if k_max else ())
+        for q in qs
+        for k in range(1, k_max + 1)
         for check in ((gap, lcm) if delta >= 0 else (gap,))
-    ]
+    )
 
     report = VerificationReport(
         {
@@ -285,7 +293,7 @@ def sweep(k_max: int, deltas, q_mode: str = "canonical",
             "deltas": list(deltas),
             "q_mode": q_mode,
             "budget": budget,
-            "cells": len(cells),
+            "cells": k_max * sum(qs[-1] // qs.step for qs in ranges),
         }
     )
     nodes = 0

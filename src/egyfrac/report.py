@@ -43,18 +43,19 @@ class VerificationReport:
     through budget_exceeded. On any completed run, passed is equivalent to
     the counterexample list being empty.
 
-    Only parameters is required: the lists default to fresh empty lists,
-    stats to SearchStats(0, 0). A verifier builds its report first, appends
-    to the lists as it goes, and returns finish(nodes, exceeded), which
-    stamps budget_exceeded and stats, timed from when the report was built.
+    parameters is the only constructor argument: the lists start as fresh
+    empty lists, details as an empty dict, stats as SearchStats(0, 0). A
+    verifier builds its report first, appends to the lists as it goes, and
+    returns finish(nodes, exceeded), which stamps budget_exceeded and
+    stats, timed from when the report was built.
     """
 
     parameters: dict[str, Any]
-    counterexamples: list[Counterexample] = field(default_factory=list)
-    equality_witnesses: list[EqualityWitness] = field(default_factory=list)
-    stats: SearchStats = SearchStats(0, 0)
-    budget_exceeded: bool = False
-    details: dict[str, Any] = field(default_factory=dict)
+    counterexamples: list[Counterexample] = field(default_factory=list, init=False)
+    equality_witnesses: list[EqualityWitness] = field(default_factory=list, init=False)
+    stats: SearchStats = field(default=SearchStats(0, 0), init=False)
+    budget_exceeded: bool = field(default=False, init=False)
+    details: dict[str, Any] = field(default_factory=dict, init=False)
     started: float = field(default_factory=time.perf_counter, init=False, repr=False,
                            compare=False)
 
@@ -70,15 +71,16 @@ class VerificationReport:
         return self
 
 
-# mathematical integers travel as decimal strings (they outgrow 64 bits);
-# rationals as 'p/q'; structural ints (k, q, counts) stay JSON numbers
-def _parameter(value):
-    # parameters are ints, strings, Fractions and a sweep's list of deltas
-    if type(value) is Fraction:
-        return str(value)
-    if type(value) is list:
-        return [str(v) for v in value]
-    return value
+def _json(fields: dict[str, Any]) -> dict[str, Any]:
+    # rationals travel as 'p/q', tuples of integers and a sweep's deltas as
+    # lists of decimal strings (integers outgrow 64 bits); structural ints
+    # (k, q, counts), strings and None stay as they are
+    return {
+        key: str(value) if type(value) is Fraction
+        else [str(v) for v in value] if type(value) in (tuple, list)
+        else value
+        for key, value in fields.items()
+    }
 
 
 def _detail(key: str, value):
@@ -93,28 +95,17 @@ def _detail(key: str, value):
 
 def report_to_dict(report: VerificationReport) -> dict[str, Any]:
     """JSON-ready dict: {passed, parameters, counterexamples,
-    equality_witnesses, stats}, plus budget/details fields when relevant."""
+    equality_witnesses, stats}, plus budget/details fields when relevant.
+
+    One rule converts the parameters and every field of every
+    counterexample and witness: a Fraction becomes 'p/q', a tuple or list
+    a list of decimal strings, and anything else stays as it is.
+    """
     out: dict[str, Any] = {
         "passed": report.passed,
-        "parameters": {k: _parameter(v) for k, v in report.parameters.items()},
-        "counterexamples": [
-            {
-                "claim": c.claim,
-                "values": [str(m) for m in c.values],
-                "delta": str(c.delta) if c.delta is not None else None,
-                "q": c.q,
-            }
-            for c in report.counterexamples
-        ],
-        "equality_witnesses": [
-            {
-                "denominators": [str(m) for m in w.denominators],
-                "delta": str(w.delta),
-                "q": w.q,
-                "family": w.family,
-            }
-            for w in report.equality_witnesses
-        ],
+        "parameters": _json(report.parameters),
+        "counterexamples": [_json(vars(c)) for c in report.counterexamples],
+        "equality_witnesses": [_json(vars(w)) for w in report.equality_witnesses],
         "stats": {"nodes": report.stats.nodes, "millis": report.stats.millis},
     }
     if report.budget_exceeded:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egyfrac import bounds
+from egyfrac import bounds, egyptian
 from egyfrac.bounds import (
     EqualityCase,
     EqualityFamily,
@@ -136,6 +136,20 @@ def test_extremal_tuples_stop_at_the_first_entry_r_fails_to_divide():
     # u(40, 3) would pass the bit ceiling on Sylvester values
     assert extremal_gap_tuple(40, Fraction(118, 3), 3) is None
     assert extremal_lcm_tuple(40, Fraction(118, 3), 3) is None
+
+
+@pytest.mark.parametrize("build", [extremal_gap_tuple, extremal_lcm_tuple])
+def test_extremal_tuples_refuse_k_past_the_term_ceiling(build, monkeypatch):
+    monkeypatch.setattr(egyptian, "MAX_TERMS", 4)
+    assert build(4, 2, 1)[:3] == (1, 2, 3)
+    with pytest.raises(ValueError, match="^k = 5 asks for more than MAX_TERMS = 4 terms$"):
+        build(5, 2, 1)
+    # at the real ceiling, k itself is refused before any entry is built:
+    # 10^30 would mean 10^30 - 3 ones
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=f"^k = {10**30} asks for more than "
+                                         f"MAX_TERMS = {egyptian.MAX_TERMS} terms$"):
+        build(10**30, 2, 1)
 
 
 def test_extremal_gap_attains_bound():

@@ -102,6 +102,20 @@ def test_values_past_the_bit_ceiling_exit_1(capsys, argv):
     assert "bit ceiling" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("greedy", "1" + "0" * 30), "x"),
+    (("greedy", "2097153/2"), "x"),
+    (("extremal", "--kind", "gap", "--k", "1" + "0" * 30, "--delta", "2"), "k"),
+    (("extremal", "--kind", "lcm", "--k", "1048577", "--delta", "2"), "k"),
+], ids=["greedy-huge", "greedy-past-ceiling", "extremal-gap-huge", "extremal-lcm-past-ceiling"])
+def test_counts_past_the_term_ceiling_exit_1(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    value = argv[1] if name == "x" else argv[4]
+    assert err == (f"egyfrac: error: {name} = {value} asks for more than "
+                   "MAX_TERMS = 1048576 terms\n")
+
+
 def test_lcm_bound(capsys):
     code, out, _ = run(capsys, "lcm-bound", "--delta", "2")
     assert code == 0
@@ -541,10 +555,10 @@ def test_outputs_do_not_depend_on_call_order(capsys, fresh_parser):
 
 # the fuzz's values. Each option draws from its own values, which hold the
 # edges 0 and -1 and, where it is refused or answered at once, _HUGE (a
-# huge greedy x or all-upto:N does not finish, and a huge extremal --k
-# overflows); one time in eight it draws a bad value instead: outside the
-# wire format, a zero denominator or, for a few options, a bad token of
-# their own
+# huge all-upto:N is bounded only by the budget, which may be the default
+# 10^8); one time in eight it draws a bad value instead: outside the wire
+# format, a zero denominator or, for a few options, a bad token of their
+# own
 _HUGE = "1" + "0" * 30
 _BAD = ["1/0", "1_0", " 3", "3.5", "\u0662"]
 _SMALL_INTS = ["0", "1", "2", "3", "-1"]
@@ -556,12 +570,12 @@ _RATIONALS = [*_SMALL_RATIONALS, _HUGE, "1/" + _HUGE]
 # positional argument; a tuple of values is drawn as a list of one to three
 # joined by commas; a flag has no values)
 _FUZZ_OPTIONS = {
-    "greedy": [("", _SMALL_RATIONALS + ["1/" + _HUGE], _BAD)],
+    "greedy": [("", _RATIONALS, _BAD)],
     "split": [("", tuple(_INTS), _BAD), ("--at", _INTS, _BAD)],
     "enumerate": [("--sum", _SMALL_RATIONALS, _BAD), ("--terms", _SMALL_INTS, _BAD)],
     "gap": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD), ("--k", _INTS, _BAD)],
     "lcm-bound": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
-    "extremal": [("--kind", ["gap", "lcm"], ["sum"]), ("--k", _SMALL_INTS, _BAD),
+    "extremal": [("--kind", ["gap", "lcm"], ["sum"]), ("--k", _INTS, _BAD),
                  ("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
     "sylvester": [("--p", _INTS, _BAD), ("--q", _INTS, _BAD), ("--table", None, None)],
     "oracle": [("--k-max", _SMALL_INTS, _BAD), ("--delta-list", tuple(_RATIONALS), _BAD),

@@ -57,6 +57,21 @@ def test_greedy_frozen_examples():
         greedy(Fraction(-1, 2))
 
 
+def test_greedy_refuses_x_past_the_term_ceiling(monkeypatch):
+    monkeypatch.setattr(egyptian, "MAX_TERMS", 4)
+    assert greedy(4) == (1, 1, 1, 1)
+    assert greedy(Fraction(7, 2)) == (1, 1, 1, 2)
+    for x in (Fraction(9, 2), 5):
+        with pytest.raises(ValueError, match=f"^x = {x} asks for more than MAX_TERMS = 4 terms$"):
+            greedy(x)
+    # at the real ceiling, x itself is refused before any term is listed:
+    # 10^30 would mean 10^30 ones
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=f"^x = {10**30} asks for more than "
+                                         f"MAX_TERMS = {egyptian.MAX_TERMS} terms$"):
+        greedy(10**30)
+
+
 def test_greedy_contract_random():
     """Sum reconstructs exactly, tuple is nondecreasing, and the term count
     obeys floor(x) plus the reduced numerator of the fractional part."""

@@ -1,8 +1,10 @@
 """Window and lcm verification searches, plus the grid sweep around them."""
 
+import inspect
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -755,6 +757,72 @@ def test_sweep_budget_exhaustion():
     assert report.budget_exceeded
 
 
+def _recorded_sweep(monkeypatch, *args, **kwargs):
+    """Run sweep, recording each search it runs as (kind, k, delta, q)."""
+    runs = []
+    for name, kind in (("window_search", "gap"), ("max_lcm_search", "lcm")):
+        def recorded(k, delta, q, budget, real=getattr(oracle, name), kind=kind):
+            runs.append((kind, k, delta, q))
+            return real(k, delta, q, budget=budget)
+        monkeypatch.setattr(oracle, name, recorded)
+    return sweep(*args, **kwargs), runs
+
+
+def _grid_order(k_max, delta_qs):
+    # the documented order: by delta, then q, then k, window before lcm
+    return [
+        (kind, k, delta, q)
+        for delta, qs in delta_qs
+        for q in qs
+        for k in range(1, k_max + 1)
+        for kind in (("gap", "lcm") if delta >= 0 else ("gap",))
+    ]
+
+
+def test_sweep_runs_its_canonical_grid_in_order(monkeypatch):
+    report, runs = _recorded_sweep(monkeypatch, 2, (F(-1), F(1, 2), F(1)))
+    assert report.passed
+    assert report.parameters["cells"] == 6
+    assert runs == [
+        ("gap", 1, F(-1), 1), ("gap", 2, F(-1), 1),
+        ("gap", 1, F(1, 2), 2), ("lcm", 1, F(1, 2), 2),
+        ("gap", 2, F(1, 2), 2), ("lcm", 2, F(1, 2), 2),
+        ("gap", 1, F(1), 1), ("lcm", 1, F(1), 1),
+        ("gap", 2, F(1), 1), ("lcm", 2, F(1), 1),
+    ]
+
+
+@pytest.mark.parametrize("limit, delta_qs, cells", [
+    # N a multiple of both canonical q, so N itself is each delta's last q
+    (4, ((F(-1), (1, 2, 3, 4)), (F(1, 2), (2, 4)), (F(3, 4), (4,))), 2 * 7),
+    # N one below: the last q of each range is the multiple below N
+    (3, ((F(-1), (1, 2, 3)), (F(1, 2), (2,))), 2 * 4),
+], ids=["multiple", "one-below"])
+def test_sweep_runs_its_all_upto_grid_in_order(monkeypatch, limit, delta_qs, cells):
+    deltas = tuple(delta for delta, _ in delta_qs)
+    report, runs = _recorded_sweep(monkeypatch, 2, deltas, f"all-upto:{limit}")
+    assert report.passed
+    assert report.parameters["cells"] == cells
+    assert runs == _grid_order(2, delta_qs)
+
+
+def test_sweep_grid_is_bounded_by_its_budget_not_its_size():
+    # 3 x 10^30 cells: the grid is produced as it is searched and counted,
+    # never listed, so the budget alone ends the run
+    started = time.perf_counter()
+    report = sweep(3, (1,), "all-upto:1" + "0" * 30, budget=10**4)
+    assert time.perf_counter() - started < 1
+    assert report.budget_exceeded and not report.passed
+    assert report.stats.nodes == 10**4 + 1
+    assert report.parameters["cells"] == 3 * 10**30
+    # with no k, a huge q range yields no search and is not walked either
+    started = time.perf_counter()
+    report = sweep(0, (1,), "all-upto:1" + "0" * 30)
+    assert time.perf_counter() - started < 1
+    assert report.passed and report.stats.nodes == 0
+    assert report.parameters["cells"] == 0
+
+
 def test_sweep_rejects_bad_config():
     with pytest.raises(ValueError):
         sweep(k_max=-1, deltas=())
@@ -967,6 +1035,12 @@ def test_report_defaults_are_empty_and_unshared():
     a.equality_witnesses.append(EqualityWitness((1,), F(-1), 1, "NEGATIVE_DELTA"))
     assert b.counterexamples == [] and b.equality_witnesses == []
     assert not a.passed and b.passed
+
+
+def test_report_takes_only_its_parameters():
+    assert list(inspect.signature(VerificationReport).parameters) == ["parameters"]
+    with pytest.raises(TypeError):
+        VerificationReport({}, [])
 
 
 def test_report_times_its_run_from_when_it_was_built():

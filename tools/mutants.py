@@ -100,9 +100,10 @@ MUTANTS = [
            '            if w.family == "NONE":', "            if False:",
            (T_ORACLE + "test_sweep_reports_unclassified_witnesses",
             T_CLI + "test_oracle_prints_each_counterexample")),
-    Mutant("json-claim-key-renamed", REPORT,
-           '"claim": c.claim,', '"message": c.claim,',
-           (T_CLI + "test_oracle_prints_each_counterexample",)),
+    Mutant("json-tuple-unconverted", REPORT,
+           "type(value) in (tuple, list)", "type(value) is list",
+           (T_ORACLE + "test_report_json_is_pinned[window]",
+            T_CLI + "test_oracle_prints_each_counterexample")),
     Mutant("text-counterexample-reworded", CLI,
            'f"counterexample: {c.claim} values=', 'f"counterexample {c.claim} values=',
            (T_CLI + "test_oracle_prints_each_counterexample",)),
@@ -110,6 +111,14 @@ MUTANTS = [
            'else "prefix completable into forbidden window"',
            'else "sum inside forbidden window"',
            (T_ORACLE + "test_window_names_each_prefix_counterexample",)),
+    # the grid: each delta's q range ends at N, and the ceiling on listed terms
+    Mutant("all-upto-drops-last-q", ORACLE,
+           "(base if limit is None else limit) + 1", "(base + 1 if limit is None else limit)",
+           (T_ORACLE + "test_sweep_runs_its_all_upto_grid_in_order[multiple]",)),
+    Mutant("term-ceiling-dropped", EGYPTIAN,
+           "    if count > MAX_TERMS:\n", "    if False:\n",
+           (T_EGYPTIAN + "test_greedy_refuses_x_past_the_term_ceiling",
+            T_BOUNDS + "test_extremal_tuples_refuse_k_past_the_term_ceiling")),
     # budgets
     Mutant("window-budget-off-by-one", ORACLE,
            "        if nodes > budget:\n            break\n        if side < 0:",
