@@ -137,8 +137,8 @@ def _tuple_strs(t) -> list[str]:
 
 def cmd_greedy(args) -> int:
     t = greedy(args.x)
-    result = {"denominators": _tuple_strs(t), "terms": len(t),
-              "sum": rational_str(tuple_sum(t))}
+    # greedy is exact by construction, so its sum is x
+    result = {"denominators": _tuple_strs(t), "terms": len(t), "sum": rational_str(args.x)}
     _emit(args, {"x": rational_str(args.x)}, result, rows=[t])
     return 0
 

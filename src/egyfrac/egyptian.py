@@ -52,17 +52,19 @@ def tuple_lcm(t: Iterable[int]) -> int:
 def greedy(x) -> EgyptianTuple:
     """Greedy representation: always take the largest unit fraction that fits.
 
-    The next denominator is the smallest m >= 1 with m*x >= 1, so integer
-    inputs emit leading 1s. The reduced numerator of the remainder drops
-    strictly every step, which bounds the term count and forces termination.
-    An x above MAX_TERMS, whose tuple would hold more terms, is refused.
+    The next denominator is the smallest m >= 1 with m*x >= 1, so x's integer
+    part is listed at once as leading 1s. On the rest the reduced numerator
+    of the remainder drops strictly every step, which forces termination. An
+    x above MAX_TERMS, whose tuple would hold more terms, is refused.
 
     >>> greedy(Fraction(5, 6))
     (2, 3)
     """
     x = as_rational(x, "x", 0)
     check_terms(x, "x")
-    out = []
+    ones = x.numerator // x.denominator
+    out = [1] * ones
+    x -= ones
     while x:
         m = -(-x.denominator // x.numerator)  # ceil(1/x)
         out.append(m)

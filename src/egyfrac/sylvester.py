@@ -11,6 +11,7 @@ the pair together and everything downstream leans on them:
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
 
@@ -21,6 +22,11 @@ from .report import Counterexample, VerificationReport
 # runaway index within a few squarings: 2**20 bits admit u(21, 1) (709,033
 # bits) and refuse u(22, 1)
 MAX_BITS = 2**20
+
+# tables are kept for the MAX_TABLES most recently used seeds: a bench pass
+# reads at most 19 seeds and a sweep each seed for one run of cells, so an
+# older seed is dropped rather than held for the life of the process
+MAX_TABLES = 64
 
 
 class SylvesterTable:
@@ -57,25 +63,16 @@ class SylvesterTable:
             return self._values[p - 1]
 
 
-_tables: dict[int, SylvesterTable] = {}
-_tables_lock = threading.Lock()
-
-
+# lru_cache is thread-safe: two threads that miss one q at once may each
+# build a table, but only one is stored, and both hold the same values
+@functools.lru_cache(maxsize=MAX_TABLES)
 def _shared_table(q: int) -> SylvesterTable:
-    # a table, once stored, is never replaced, so a hit needs no lock; a miss
-    # looks again under it, so two threads never store two tables for one q
-    table = _tables.get(q)
-    if table is not None:
-        return table
-    with _tables_lock:
-        table = _tables.get(q)
-        if table is None:
-            table = _tables[q] = SylvesterTable(q)
-        return table
+    return SylvesterTable(q)
 
 
 def sylvester_u(p: int, q: int) -> int:
-    """u(p, q): the doubly exponential core sequence, memoized per seed."""
+    """u(p, q): the doubly exponential core sequence, memoized per seed for
+    the MAX_TABLES most recently used seeds."""
     return _shared_table(as_int(q, "seed q")).u(p)
 
 

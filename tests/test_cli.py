@@ -156,6 +156,29 @@ _DEEP_EXTREMAL = {
 }
 
 
+def test_greedy_reports_x_as_its_sum(capsys, monkeypatch):
+    # greedy is exact by construction, so the reported sum is x itself and
+    # the tuple is never summed
+    sums = []
+    real = cli.tuple_sum
+
+    def counted(t):
+        sums.append(1)
+        return real(t)
+
+    monkeypatch.setattr(cli, "tuple_sum", counted)
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "greedy", "7/2", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            result = json.loads(out)["result"]
+            assert result == {"denominators": ["1", "1", "1", "2"], "terms": 4, "sum": "7/2"}
+        else:
+            sep = "," if fmt == "csv" else " "
+            assert out == sep.join("1112") + "\n"
+    assert sums == []
+
+
 @pytest.mark.parametrize("kind", ["gap", "lcm"])
 def test_extremal_sums_its_tuple_once(capsys, monkeypatch, kind):
     # only in the constructor's assert: classify_equality matches by

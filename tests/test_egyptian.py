@@ -4,6 +4,7 @@ import bisect
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,26 @@ def test_greedy_contract_random():
         assert as_tuple(t) == t
         fl, frac = floor_frac(x)
         assert len(t) <= fl + frac.numerator
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.fractions(min_value=0, max_value=500, max_denominator=60))
+@example(x=Fraction(500))
+@example(x=Fraction(2999, 6))
+def test_greedy_lists_its_integer_part_at_once(x):
+    # the integer part as leading 1s, then the fractional part's terms
+    t = greedy(x)
+    assert tuple_sum(t) == x
+    assert as_tuple(t) == t
+    assert t.count(1) == x.numerator // x.denominator
+
+
+def test_greedy_at_the_term_ceiling_is_fast():
+    # 2^20 ones, listed at once rather than subtracted one by one
+    started = time.perf_counter()
+    t = greedy(egyptian.MAX_TERMS)
+    assert time.perf_counter() - started < 1
+    assert t == (1,) * egyptian.MAX_TERMS
 
 
 def test_greedy_remainder_numerator_drops():

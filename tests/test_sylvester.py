@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from egyfrac import sylvester
+from egyfrac.oracle import sweep
 from egyfrac.sylvester import (
     SylvesterTable,
     check_identities,
@@ -101,31 +102,24 @@ def _recurrence(q, p_max):
     return values
 
 
-def test_concurrent_reads_match_the_recurrence():
-    # a value already built is read without the lock while other threads
-    # grow the same table under it: 6 threads read u(p, q) in shuffled
-    # order and 2 extend each table one index at a time, on seeds no other
-    # test builds, so every table starts empty. A torn or early read
-    # breaks the equality with a private recurrence.
-    seeds = range(1009, 1041, 2)
+def _race(seeds, orders):
+    """One thread per order, started together under a tiny switch interval;
+    each reads u(p, q) for the (q, p) pairs its order lists and returns
+    every read that differs from a private recurrence, and every raise."""
     expected = {q: _recurrence(q, 14) for q in seeds}
     wrong = []
-    start = threading.Barrier(8)
+    start = threading.Barrier(len(orders))
 
-    def read(order):
+    def read(pairs):
         try:
             start.wait(timeout=10)
-            for q in seeds:
-                for p in order(range(1, 15)):
-                    if sylvester_u(p, q) != expected[q][p - 1]:
-                        wrong.append((p, q))
-        except Exception as exc:  # reported by the assertion below
+            for q, p in pairs:
+                if sylvester_u(p, q) != expected[q][p - 1]:
+                    wrong.append((p, q))
+        except Exception as exc:  # reported by the caller's assertion
             wrong.append(exc)
 
-    shufflers = [random.Random(seed) for seed in range(6)]
-    orders = [lambda ps, rng=rng: rng.sample(ps, len(ps)) for rng in shufflers]
-    orders += [list, list]
-    threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+    threads = [threading.Thread(target=read, args=(pairs,)) for pairs in orders]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -136,7 +130,51 @@ def test_concurrent_reads_match_the_recurrence():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert wrong == []
+    return wrong
+
+
+def test_concurrent_reads_match_the_recurrence():
+    # a value already built is read without the lock while other threads
+    # grow the same table under it: 6 threads read u(p, q) in shuffled
+    # order and 2 extend each table one index at a time, seed by seed, from
+    # an empty cache, so every table starts empty. A torn or early read
+    # breaks the equality with a private recurrence.
+    seeds = range(1009, 1041, 2)
+    rngs = [random.Random(seed) for seed in range(6)]
+    orders = [[(q, p) for q in seeds for p in rng.sample(range(1, 15), 14)] for rng in rngs]
+    orders += [[(q, p) for q in seeds for p in range(1, 15)]] * 2
+    sylvester._shared_table.cache_clear()
+    assert _race(seeds, orders) == []
+
+
+def test_concurrent_reads_across_evictions_match_the_recurrence():
+    # more seeds than the cache keeps: 4 threads read every (q, p) pair in
+    # shuffled order, so a table is dropped while others still read it and
+    # a dropped seed is built again; 4 more extend each table in turn
+    seeds = range(2003, 2003 + 2 * (sylvester.MAX_TABLES + 16), 2)
+    pairs = [(q, p) for q in seeds for p in range(1, 15)]
+    orders = [random.Random(seed).sample(pairs, len(pairs)) for seed in range(4)]
+    orders += [pairs] * 4
+    sylvester._shared_table.cache_clear()
+    assert _race(seeds, orders) == []
+    info = sylvester._shared_table.cache_info()
+    assert info.misses > len(seeds)  # some seed was dropped and built again
+    assert info.currsize == sylvester.MAX_TABLES
+
+
+def test_sweep_over_many_seeds_keeps_max_tables():
+    # an all-upto grid meets a new seed every few cells: at budget 10^4 it
+    # reads seeds 1..5000, and the cache keeps only the last MAX_TABLES
+    sylvester._shared_table.cache_clear()
+    report = sweep(1, (1,), "all-upto:1" + "0" * 30, budget=10**4)
+    assert report.budget_exceeded
+    info = sylvester._shared_table.cache_info()
+    assert info.misses == 5000
+    assert info.currsize == sylvester.MAX_TABLES
+    # seed 2 was dropped: reading it again builds a new table, whose values
+    # are the recurrence's
+    assert [sylvester_u(p, 2) for p in range(1, 15)] == _recurrence(2, 14)
+    assert sylvester._shared_table.cache_info().misses == 5001
 
 
 def test_identities_hold():

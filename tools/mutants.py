@@ -111,7 +111,8 @@ MUTANTS = [
            'else "prefix completable into forbidden window"',
            'else "sum inside forbidden window"',
            (T_ORACLE + "test_window_names_each_prefix_counterexample",)),
-    # the grid: each delta's q range ends at N, and the ceiling on listed terms
+    # the grid: each delta's q range ends at N; the ceiling on listed terms,
+    # and greedy's integer part
     Mutant("all-upto-drops-last-q", ORACLE,
            "(base if limit is None else limit) + 1", "(base + 1 if limit is None else limit)",
            (T_ORACLE + "test_sweep_runs_its_all_upto_grid_in_order[multiple]",)),
@@ -119,6 +120,9 @@ MUTANTS = [
            "    if count > MAX_TERMS:\n", "    if False:\n",
            (T_EGYPTIAN + "test_greedy_refuses_x_past_the_term_ceiling",
             T_BOUNDS + "test_extremal_tuples_refuse_k_past_the_term_ceiling")),
+    Mutant("greedy-drops-ones", EGYPTIAN,
+           "out = [1] * ones", "out = []",
+           (T_EGYPTIAN + "test_greedy_frozen_examples",)),
     # budgets
     Mutant("window-budget-off-by-one", ORACLE,
            "        if nodes > budget:\n            break\n        if side < 0:",
@@ -393,6 +397,10 @@ MUTANTS = [
            'total = bound if args.kind == "gap" else args.k - args.delta',
            "total = args.k - args.delta",
            (T_CLI + "test_extremal_sums_its_tuple_once[gap]",)),
+    # the shared tables are bounded: a sweep over many seeds keeps MAX_TABLES
+    Mutant("sylvester-tables-unbounded", SYLVESTER,
+           "maxsize=MAX_TABLES", "maxsize=None",
+           (T_SYLVESTER + "test_sweep_over_many_seeds_keeps_max_tables",)),
     # a value already built is read without the lock, at its own index
     Mutant("sylvester-hit-reads-last", SYLVESTER,
            "            return values[p - 1]\n", "            return values[-1]\n",
