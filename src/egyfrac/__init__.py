@@ -19,6 +19,7 @@ from .bounds import (
     sharp_sum_bound,
 )
 from .egyptian import (
+    DEFAULT_BUDGET,
     EgyptianTuple,
     as_tuple,
     enumerate_deficiency,
@@ -52,7 +53,6 @@ from .majorization import (
     sum_dominance_conclusion,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     lcm_square_check,
     max_lcm_search,
     sweep,

@@ -7,8 +7,9 @@ any other format is a usage error (exit 1). JSON output is an envelope
 {command, inputs, result, version}; rationals travel as 'p/q' strings and
 mathematical integers as decimal strings, since the values outgrow 64 bits.
 
-Exit codes: 0 success, 1 usage or domain error, 2 verification failure
-(counterexample found or node budget exhausted).
+Exit codes: 0 success, 1 usage or domain error (an enumerate past its
+--budget among them), 2 verification failure (counterexample found or
+oracle's node budget exhausted).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from .egyptian import enumerate_exact, greedy, split_expand, tuple_lcm, tuple_sum
+from .egyptian import DEFAULT_BUDGET, enumerate_exact, greedy, split_expand, tuple_lcm, tuple_sum
 from .geometry import (
     ONE,
     LogStructure,
@@ -42,7 +43,7 @@ from .geometry import (
     refined_index_bound,
     volume,
 )
-from .oracle import DEFAULT_BUDGET, sweep
+from .oracle import sweep
 from .rationals import RATIONAL_LITERAL, canonical_q, parse_int, parse_rational, rational_str
 from .report import report_to_dict
 from .sylvester import sylvester_u
@@ -101,8 +102,9 @@ def _coefficient(token: str) -> StandardCoefficient:
 def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
     """Print one command's output in the chosen format.
 
-    inputs and result fill the JSON envelope. rows, a list of integer
-    tuples, print comma-joined as csv and space-joined as text, unless the
+    inputs and result fill the JSON envelope. rows, an iterable of rows of
+    decimal strings (those result already holds, so no integer is converted
+    twice), print comma-joined as csv and space-joined as text, unless the
     command passes its own text lines.
     """
     if args.format == "json":
@@ -116,7 +118,7 @@ def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
         return
     if args.format == "csv" or lines is None:
         sep = "," if args.format == "csv" else " "
-        lines = [sep.join(str(v) for v in row) for row in rows]
+        lines = [sep.join(row) for row in rows]
     for line in lines:
         print(line)
 
@@ -135,11 +137,19 @@ def _tuple_strs(t) -> list[str]:
     return [str(m) for m in t]
 
 
+def _successor(digits: str) -> str:
+    """str(n + 1) from digits == str(n), n >= 0: the trailing 9s carry, so
+    n + 1 is never converted itself."""
+    stem = digits.rstrip("9")
+    head = stem[:-1] + chr(ord(stem[-1]) + 1) if stem else "1"
+    return head + "0" * (len(digits) - len(stem))
+
+
 def cmd_greedy(args) -> int:
     t = greedy(args.x)
     # greedy is exact by construction, so its sum is x
     result = {"denominators": _tuple_strs(t), "terms": len(t), "sum": rational_str(args.x)}
-    _emit(args, {"x": rational_str(args.x)}, result, rows=[t])
+    _emit(args, {"x": rational_str(args.x)}, result, rows=[result["denominators"]])
     return 0
 
 
@@ -150,15 +160,15 @@ def cmd_split(args) -> int:
     t = split_expand(args.denominators, args.at - 1)  # --at is 1-based
     inputs = {"denominators": _tuple_strs(args.denominators), "at": args.at}
     result = {"denominators": _tuple_strs(t), "sum": rational_str(tuple_sum(t))}
-    _emit(args, inputs, result, rows=[t])
+    _emit(args, inputs, result, rows=[result["denominators"]])
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    tuples = enumerate_exact(args.sum, args.terms)
-    inputs = {"sum": rational_str(args.sum), "terms": args.terms}
+    tuples = enumerate_exact(args.sum, args.terms, args.budget)
+    inputs = {"sum": rational_str(args.sum), "terms": args.terms, "budget": args.budget}
     result = {"tuples": [_tuple_strs(t) for t in tuples], "count": len(tuples)}
-    _emit(args, inputs, result, rows=tuples)
+    _emit(args, inputs, result, rows=result["tuples"])
     return 0
 
 
@@ -199,12 +209,11 @@ def cmd_extremal(args) -> int:
         return 0
     # each constructor asserts its tuple's sum: the sharp sum bound for gap,
     # k - delta for lcm
-    total = bound if args.kind == "gap" else args.k - args.delta
     result["denominators"] = _tuple_strs(t)
-    result["sum"] = rational_str(total)
+    result["sum"] = result["bound"] if args.kind == "gap" else rational_str(args.k - args.delta)
     result["lcm"] = str(tuple_lcm(t))
     result["family"] = classify_equality(t, args.delta, q).tag.value
-    _emit(args, inputs, result, rows=[t])
+    _emit(args, inputs, result, rows=[result["denominators"]])
     return 0
 
 
@@ -212,13 +221,17 @@ def cmd_sylvester(args) -> int:
     inputs = {"p": args.p, "q": args.q, "table": args.table}
     # taken before branching, so a bad --p or --q fails the table too
     u_val = sylvester_u(args.p, args.q)
+    # each u is converted to decimal once, and t = 1 + u carried from its
+    # digits; str(u) still holds u to the interpreter's digit limit
     if args.table:
-        us = (sylvester_u(p, args.q) for p in range(1, args.p + 1))
-        rows = [(p, u, 1 + u) for p, u in enumerate(us, 1)]
-        table = [{"p": p, "u": str(u), "t": str(t)} for p, u, t in rows]
+        us = (str(sylvester_u(p, args.q)) for p in range(1, args.p + 1))
+        table = [{"p": p, "u": u, "t": _successor(u)} for p, u in enumerate(us, 1)]
+        # p is converted only for text and csv: JSON carries it as a number
+        rows = ((str(row["p"]), row["u"], row["t"]) for row in table)
         _emit(args, inputs, {"table": table}, rows=rows)
     else:
-        result = {"u": str(u_val), "t": str(1 + u_val)}
+        u = str(u_val)
+        result = {"u": u, "t": _successor(u)}
         _emit(args, inputs, result, _scalars(result, "u", "t"))
     return 0
 
@@ -312,6 +325,8 @@ def build_parser() -> _Parser:
     p = add("enumerate", cmd_enumerate, "all k-term representations of a rational", tuples)
     p.add_argument("--sum", type=_rational, required=True, dest="sum")
     p.add_argument("--terms", type=_int, required=True)
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET,
+                   help=f"node budget (default {DEFAULT_BUDGET})")
 
     p = add("gap", cmd_gap, "forbidden-window width below k - delta")
     p.add_argument("--delta", type=_rational, required=True)

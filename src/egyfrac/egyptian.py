@@ -20,6 +20,9 @@ EgyptianTuple = tuple[int, ...]
 # k - s ones, so a larger count is refused before any entry is built
 MAX_TERMS = 2**20
 
+# the node budget of every exhaustive walk, here and in oracle's searches
+DEFAULT_BUDGET = 10**8
+
 
 def check_terms(count, name: str) -> None:
     """Refuse a count of terms, or a value that needs as many, past MAX_TERMS."""
@@ -262,30 +265,44 @@ def close_pairs(prefix: list[int], side: int, den: int, low) -> list[tuple[int, 
     return two_term_pairs(prefix[-1] if prefix else 1, -side // g, b * den // g)
 
 
-def iter_exact(x, k: int) -> Iterator[EgyptianTuple]:
+def iter_exact(x, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[EgyptianTuple]:
     """Yield every k-term representation of x, in lexicographic order.
 
     The target is exact, so walk stops two slots short, and each prefix it
-    yields there is completed by the pairs close_pairs returns.
+    yields there is completed by the pairs close_pairs returns. The budget
+    counts nodes as oracle.max_lcm_search does: one per prefix walk yields
+    and one per pair that closes a prefix. A walk that needs more raises
+    ValueError, naming the budget and the tuples yielded before it ran
+    out; a closing's pairs are yielded only if all of them fit.
     """
     x = as_rational(x, "target sum", 0)
     as_int(k, "term count", 0)
+    as_int(budget, "budget")
+    nodes = count = 0
     for prefix, slots, side, _, den in walk(k, x, x):
-        if slots == 2 and side < 0:
+        pairs = close_pairs(prefix, side, den, x) if slots == 2 and side < 0 else ()
+        nodes += 1 + len(pairs)
+        if nodes > budget:
+            raise ValueError(f"enumeration ran out of its budget of {budget} nodes "
+                             f"after {count} tuples")
+        if pairs:
             head = tuple(prefix)
-            for pair in close_pairs(prefix, side, den, x):
+            for pair in pairs:
                 yield head + pair
+            count += len(pairs)
         elif not slots and not side:
             yield tuple(prefix)
+            count += 1
 
 
-def enumerate_exact(x, k: int) -> list[EgyptianTuple]:
-    """All k-term representations of x as a lexicographically sorted list.
+def enumerate_exact(x, k: int, budget: int = DEFAULT_BUDGET) -> list[EgyptianTuple]:
+    """All k-term representations of x as a lexicographically sorted list,
+    within iter_exact's node budget.
 
     >>> enumerate_exact(1, 3)
     [(2, 3, 6), (2, 4, 4), (3, 3, 3)]
     """
-    return list(iter_exact(x, k))
+    return list(iter_exact(x, k, budget))
 
 
 def enumerate_deficiency(k: int, delta, q: int) -> list[EgyptianTuple]:

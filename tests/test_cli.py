@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egyfrac import __version__, cli
@@ -182,24 +182,33 @@ def test_greedy_reports_x_as_its_sum(capsys, monkeypatch):
 @pytest.mark.parametrize("kind", ["gap", "lcm"])
 def test_extremal_sums_its_tuple_once(capsys, monkeypatch, kind):
     # only in the constructor's assert: classify_equality matches by
-    # structure, and the reported sum is the one the requested kind fixes
-    sums = []
-    real = cli.tuple_sum
+    # structure, and the reported sum is the one the requested kind fixes;
+    # gap's sum is its bound's string, so only delta and the bound, and for
+    # lcm its sum k - delta, are converted
+    sums, strs = [], []
+    real, real_str = cli.tuple_sum, cli.rational_str
 
     def counted(t):
         sums.append(1)
         return real(t)
 
+    def counted_str(x):
+        strs.append(x)
+        return real_str(x)
+
     monkeypatch.setattr("egyfrac.bounds.tuple_sum", counted)
     monkeypatch.setattr(cli, "tuple_sum", counted)
+    monkeypatch.setattr(cli, "rational_str", counted_str)
     denominators, total, lcm, family = _DEEP_EXTREMAL[kind]
     bound = total if kind == "gap" else lcm  # each tuple attains its bound
     argv = ["extremal", "--kind", kind, "--k", "8", "--delta", "6"]
     for fmt in ("text", "json", "csv"):
         sums.clear()
+        strs.clear()
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
         assert len(sums) == (1 if __debug__ else 0), fmt
+        assert len(strs) == (2 if kind == "gap" else 3), fmt
         if fmt == "json":
             result = json.loads(out)["result"]
             assert list(result.items()) == [
@@ -231,6 +240,13 @@ def test_sylvester_table(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result == {"u": "42", "t": "43"}  # big values travel as strings
+    code, out, _ = run(capsys, "sylvester", "--p", "3", "--q", "1", "--table",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["table"] == [  # p stays a number
+        {"p": 1, "u": "1", "t": "2"}, {"p": 2, "u": "2", "t": "3"},
+        {"p": 3, "u": "6", "t": "7"},
+    ]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -243,6 +259,106 @@ def test_sylvester_table_rejects_what_the_single_value_rejects(capsys, argv, fmt
     assert single[:2] == (1, "")
     assert single[2].startswith("egyfrac: error: ")
     assert run(capsys, *argv, "--table", "--format", fmt) == single
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10**60),
+    # a head, then a run of trailing 9s that the carry must clear
+    st.builds(lambda head, nines: head * 10**nines + 10**nines - 1,
+              st.integers(0, 10**6), st.integers(0, 200)),
+))
+@example(0)
+@example(9)
+@example(10**300 - 1)
+def test_successor_is_the_decimal_of_u_plus_1(u):
+    assert cli._successor(str(u)) == str(u + 1)
+
+
+@pytest.mark.parametrize("q, t", [("9", "10"), ("99", "100"), ("199", "200")])
+def test_sylvester_carries_t_from_u(capsys, q, t):
+    argv = ["sylvester", "--p", "1", "--q", q]
+    assert run(capsys, *argv) == (0, f"u = {q}\nt = {t}\n", "")
+    assert run(capsys, *argv, "--table") == (0, f"1 {q} {t}\n", "")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert (code, json.loads(out)["result"]) == (0, {"u": q, "t": t})
+    code, out, _ = run(capsys, *argv, "--table", "--format", "json")
+    assert (code, json.loads(out)["result"]) == (0, {"table": [{"p": 1, "u": q, "t": t}]})
+
+
+def test_sylvester_digit_limit_holds_for_u_only(capsys):
+    # u is converted by str, so the interpreter's digit limit still refuses
+    # u(16, 1), of 6,671 digits; t is carried from u's digits, so a u at
+    # the limit prints its t of one digit more
+    assert sys.get_int_max_str_digits() == 4300, "the interpreter's default limit"
+    nines = "9" * 4300
+    t = "1" + "0" * 4300
+    assert run(capsys, "sylvester", "--p", "1", "--q", nines) == (
+        0, f"u = {nines}\nt = {t}\n", "")
+    code, out, _ = run(capsys, "sylvester", "--p", "1", "--q", nines, "--table",
+                       "--format", "json")
+    assert (code, json.loads(out)["result"]["table"][0]["t"]) == (0, t)
+    for table in ((), ("--table",)):
+        code, out, err = run(capsys, "sylvester", "--p", "16", "--q", "1", *table)
+        assert (code, out) == (1, "")
+        assert re.match(r"egyfrac: error: Exceeds the limit \(4300( digits)?\) "
+                        "for integer string conversion", err), err
+
+
+@pytest.fixture
+def converted(monkeypatch):
+    """The ints cli converts through str, in call order: a counting str
+    in cli's namespace, over the builtin."""
+    seen = []
+    builtin = str
+
+    def counting(value=""):
+        if type(value) is int:
+            seen.append(value)
+        return builtin(value)
+
+    monkeypatch.setattr(cli, "str", counting, raising=False)
+    return seen
+
+
+_CONVERTED = [
+    # argv, the ints converted (in any order) in every format the command
+    # takes: the JSON envelope's integer strings, whichever format prints
+    (["greedy", "7/2"], [1, 1, 1, 2]),
+    (["split", "2,3", "--at", "2"], [2, 3, 2, 4, 12]),
+    (["enumerate", "--sum", "1", "--terms", "3"], [2, 3, 6, 2, 4, 4, 3, 3, 3]),
+    (["extremal", "--kind", "gap", "--k", "8", "--delta", "6"],
+     [*map(int, _DEEP_EXTREMAL["gap"][0].split()), int(_DEEP_EXTREMAL["gap"][2])]),
+    (["extremal", "--kind", "lcm", "--k", "8", "--delta", "6"],
+     [*map(int, _DEEP_EXTREMAL["lcm"][0].split()), int(_DEEP_EXTREMAL["lcm"][2])]),
+]
+
+
+@pytest.mark.parametrize("argv, ints", _CONVERTED,
+                         ids=["greedy", "split", "enumerate", "extremal-gap", "extremal-lcm"])
+def test_each_printed_integer_is_converted_once(capsys, converted, argv, ints):
+    for fmt in ("text", "json", "csv"):  # each of these commands takes csv
+        converted.clear()
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert sorted(converted) == sorted(ints), fmt
+
+
+def test_sylvester_converts_each_u_once_and_no_t(capsys, converted):
+    us = [10]  # u(1..5, 10), none equal to a row number or a t
+    while len(us) < 5:
+        us.append(us[-1] * (us[-1] + 1))
+    for table in ((), ("--table",)):
+        for fmt in ("text", "json"):
+            converted.clear()
+            code, out, _ = run(capsys, "sylvester", "--p", "5", "--q", "10", *table,
+                               "--format", fmt)
+            assert code == 0
+            want = us if table else us[-1:]
+            if table and fmt == "text":
+                want = [*want, 1, 2, 3, 4, 5]  # the row numbers p, printed as text
+            assert sorted(converted) == sorted(want), (table, fmt)
+            assert str(us[-1] + 1) in out
 
 
 def test_version_and_usage_errors(capsys):
@@ -334,7 +450,7 @@ CSV_COMMANDS = {"greedy", "split", "enumerate", "extremal"}
 @pytest.mark.parametrize("argv, inputs", [
     (["greedy", "9/20"], {"x": "9/20"}),
     (["split", "2,3", "--at", "2"], {"denominators": ["2", "3"], "at": 2}),
-    (["enumerate", "--sum", "1", "--terms", "3"], {"sum": "1", "terms": 3}),
+    (["enumerate", "--sum", "1", "--terms", "3"], {"sum": "1", "terms": 3, "budget": 100000000}),
     (["gap", "--delta", "1/2"], {"delta": "1/2", "q": 2, "k": None}),
     (["lcm-bound", "--delta", "5/2", "--q", "4"], {"delta": "5/2", "q": 4}),
     (["extremal", "--kind", "lcm", "--k", "4", "--delta", "3/2"],
@@ -595,7 +711,8 @@ _RATIONALS = [*_SMALL_RATIONALS, _HUGE, "1/" + _HUGE]
 _FUZZ_OPTIONS = {
     "greedy": [("", _RATIONALS, _BAD)],
     "split": [("", tuple(_INTS), _BAD), ("--at", _INTS, _BAD)],
-    "enumerate": [("--sum", _SMALL_RATIONALS, _BAD), ("--terms", _SMALL_INTS, _BAD)],
+    "enumerate": [("--sum", _SMALL_RATIONALS, _BAD), ("--terms", _SMALL_INTS, _BAD),
+                  ("--budget", ["1", "100", "10000", "0", "-1"], _BAD)],
     "gap": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD), ("--k", _INTS, _BAD)],
     "lcm-bound": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
     "extremal": [("--kind", ["gap", "lcm"], ["sum"]), ("--k", _INTS, _BAD),

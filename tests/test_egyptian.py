@@ -25,6 +25,7 @@ from egyfrac.egyptian import (
     tuple_sum,
     two_term_pairs,
 )
+from egyfrac.oracle import max_lcm_search
 from egyfrac.rationals import floor_frac
 
 
@@ -420,3 +421,43 @@ def test_iter_exact_rejects_negative():
         list(iter_exact(Fraction(-1, 2), 2))
     with pytest.raises(ValueError):
         list(iter_exact(1, -1))
+
+
+@pytest.mark.parametrize("k, delta, q", [
+    (1, 0, 1), (3, 2, 1), (4, 2, 1), (4, Fraction(3, 2), 2), (5, Fraction(5, 2), 2),
+    (5, 3, 1), (6, 4, 2),
+])
+def test_enumerate_budget_counts_the_lcm_searchs_nodes(k, delta, q):
+    # prefixes walk yields plus closed pairs, so the enumeration fits its
+    # budget exactly when max_lcm_search's walk of the same class does
+    search = max_lcm_search(k, delta, q)
+    nodes = search.stats.nodes
+    target = k - Fraction(delta)
+    tuples = enumerate_exact(target, k, budget=nodes)
+    assert len(tuples) == search.details["class_size"]
+    assert tuples == enumerate_exact(target, k)
+    with pytest.raises(ValueError, match=rf"budget of {nodes - 1} nodes after \d+ tuples"):
+        enumerate_exact(target, k, budget=nodes - 1)
+
+
+def test_enumerate_past_its_budget_names_the_count_reached():
+    # the class of 1 in four terms takes 27 nodes; 20 list 10 of its 14 tuples
+    listed = []
+    with pytest.raises(ValueError) as raised:
+        for t in iter_exact(1, 4, budget=20):
+            listed.append(t)
+    assert str(raised.value) == "enumeration ran out of its budget of 20 nodes after 10 tuples"
+    assert listed == enumerate_exact(1, 4, budget=27)[:10]
+    with pytest.raises(ValueError):
+        enumerate_exact(1, 4, budget=26)
+    for budget in (0, -1, True):
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_exact(1, 3, budget=budget)
+
+
+def test_enumerate_budget_bounds_a_huge_class():
+    # --sum 1 --terms 9 does not finish unbudgeted; 10^5 nodes end it at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget of 100000 nodes after"):
+        enumerate_exact(1, 9, budget=10**5)
+    assert time.perf_counter() - start < 5

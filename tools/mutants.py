@@ -131,6 +131,10 @@ MUTANTS = [
     Mutant("sweep-budget-off-by-one", ORACLE,
            "exceeded = nodes >= budget", "exceeded = nodes > budget",
            (T_ORACLE + "test_report_json_is_pinned[sweep-budget]",)),
+    Mutant("enumerate-budget-off-by-one", EGYPTIAN,
+           "        if nodes > budget:\n            raise ValueError",
+           "        if nodes >= budget:\n            raise ValueError",
+           (T_EGYPTIAN + "test_enumerate_budget_counts_the_lcm_searchs_nodes",)),
     # the lcm search and its square check
     Mutant("lcm-floor-plus-one", ORACLE,
            "if lcm_value > floor_bound:", "if lcm_value > floor_bound + 1:",
@@ -253,7 +257,7 @@ MUTANTS = [
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_walk_matches_the_recursive_walk")),
     Mutant("iter-exact-drops-closings", EGYPTIAN,
-           "            for pair in close_pairs(prefix, side, den, x):\n"
+           "            for pair in pairs:\n"
            "                yield head + pair\n",
            "            pass\n",
            (T_EGYPTIAN + "test_enumerate_frozen_examples",
@@ -390,13 +394,24 @@ MUTANTS = [
            (T_RATIONALS + "test_bool_integers_are_refused[sharp_sum_bound]",)),
     # cmd_extremal takes its sum from the requested kind
     Mutant("extremal-sums-its-tuple", CLI,
-           'total = bound if args.kind == "gap" else args.k - args.delta',
-           "total = tuple_sum(t)",
+           'result["bound"] if args.kind == "gap" else rational_str(args.k - args.delta)',
+           "rational_str(tuple_sum(t))",
            (T_CLI + "test_extremal_sums_its_tuple_once",)),
     Mutant("extremal-gap-sum-from-class", CLI,
-           'total = bound if args.kind == "gap" else args.k - args.delta',
-           "total = args.k - args.delta",
+           'result["bound"] if args.kind == "gap" else rational_str(args.k - args.delta)',
+           "rational_str(args.k - args.delta)",
            (T_CLI + "test_extremal_sums_its_tuple_once[gap]",)),
+    # each printed integer is converted to decimal once: t is carried from
+    # u's digits, and text and csv rows join the strings result holds
+    Mutant("sylvester-t-carry-dropped", CLI,
+           'stem = digits.rstrip("9")', "stem = digits",
+           (T_CLI + "test_successor_is_the_decimal_of_u_plus_1",
+            T_CLI + "test_sylvester_carries_t_from_u")),
+    Mutant("emit-rows-reconverted", CLI,
+           "lines = [sep.join(row) for row in rows]",
+           "lines = [sep.join(str(int(v)) for v in row) for row in rows]",
+           (T_CLI + "test_each_printed_integer_is_converted_once",
+            T_CLI + "test_sylvester_converts_each_u_once_and_no_t")),
     # the shared tables are bounded: a sweep over many seeds keeps MAX_TABLES
     Mutant("sylvester-tables-unbounded", SYLVESTER,
            "maxsize=MAX_TABLES", "maxsize=None",
