@@ -19,7 +19,7 @@ from .bounds import (
     sharp_sum_bound,
 )
 from .egyptian import (
-    DEFAULT_BUDGET,
+    ENUMERATE_BUDGET,
     EgyptianTuple,
     as_tuple,
     enumerate_deficiency,
@@ -53,6 +53,7 @@ from .majorization import (
     sum_dominance_conclusion,
 )
 from .oracle import (
+    DEFAULT_BUDGET,
     lcm_square_check,
     max_lcm_search,
     sweep,
@@ -85,6 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "ENUMERATE_BUDGET",
     "Counterexample",
     "EgyptianTuple",
     "EqualityCase",

@@ -8,7 +8,7 @@ any other format is a usage error (exit 1). JSON output is an envelope
 mathematical integers as decimal strings, since the values outgrow 64 bits.
 
 Exit codes: 0 success, 1 usage or domain error (an enumerate past its
---budget among them), 2 verification failure (counterexample found or
+node budget among them), 2 verification failure (counterexample found or
 oracle's node budget exhausted).
 """
 
@@ -31,7 +31,7 @@ from .bounds import (
     lcm_bound,
     sharp_sum_bound,
 )
-from .egyptian import DEFAULT_BUDGET, enumerate_exact, greedy, split_expand, tuple_lcm, tuple_sum
+from .egyptian import enumerate_exact, greedy, split_expand, tuple_lcm, tuple_sum
 from .geometry import (
     ONE,
     LogStructure,
@@ -43,7 +43,7 @@ from .geometry import (
     refined_index_bound,
     volume,
 )
-from .oracle import sweep
+from .oracle import DEFAULT_BUDGET, sweep
 from .rationals import RATIONAL_LITERAL, canonical_q, parse_int, parse_rational, rational_str
 from .report import report_to_dict
 from .sylvester import sylvester_u
@@ -165,8 +165,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    tuples = enumerate_exact(args.sum, args.terms, args.budget)
-    inputs = {"sum": rational_str(args.sum), "terms": args.terms, "budget": args.budget}
+    tuples = enumerate_exact(args.sum, args.terms)
+    inputs = {"sum": rational_str(args.sum), "terms": args.terms}
     result = {"tuples": [_tuple_strs(t) for t in tuples], "count": len(tuples)}
     _emit(args, inputs, result, rows=result["tuples"])
     return 0
@@ -325,8 +325,6 @@ def build_parser() -> _Parser:
     p = add("enumerate", cmd_enumerate, "all k-term representations of a rational", tuples)
     p.add_argument("--sum", type=_rational, required=True, dest="sum")
     p.add_argument("--terms", type=_int, required=True)
-    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET,
-                   help=f"node budget (default {DEFAULT_BUDGET})")
 
     p = add("gap", cmd_gap, "forbidden-window width below k - delta")
     p.add_argument("--delta", type=_rational, required=True)

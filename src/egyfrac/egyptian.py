@@ -20,8 +20,10 @@ EgyptianTuple = tuple[int, ...]
 # k - s ones, so a larger count is refused before any entry is built
 MAX_TERMS = 2**20
 
-# the node budget of every exhaustive walk, here and in oracle's searches
-DEFAULT_BUDGET = 10**8
+# the node budget of an enumeration, which keeps every tuple it lists: at
+# 10^6 nodes the list of --terms 9 holds about 230 MiB, while (7, 6, 1),
+# the lcm frontier's largest class at 362,392 nodes, still fits
+ENUMERATE_BUDGET = 10**6
 
 
 def check_terms(count, name: str) -> None:
@@ -265,7 +267,7 @@ def close_pairs(prefix: list[int], side: int, den: int, low) -> list[tuple[int, 
     return two_term_pairs(prefix[-1] if prefix else 1, -side // g, b * den // g)
 
 
-def iter_exact(x, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[EgyptianTuple]:
+def iter_exact(x, k: int, budget: int = ENUMERATE_BUDGET) -> Iterator[EgyptianTuple]:
     """Yield every k-term representation of x, in lexicographic order.
 
     The target is exact, so walk stops two slots short, and each prefix it
@@ -295,7 +297,7 @@ def iter_exact(x, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[EgyptianTupl
             count += 1
 
 
-def enumerate_exact(x, k: int, budget: int = DEFAULT_BUDGET) -> list[EgyptianTuple]:
+def enumerate_exact(x, k: int, budget: int = ENUMERATE_BUDGET) -> list[EgyptianTuple]:
     """All k-term representations of x as a lexicographically sorted list,
     within iter_exact's node budget.
 
@@ -305,8 +307,10 @@ def enumerate_exact(x, k: int, budget: int = DEFAULT_BUDGET) -> list[EgyptianTup
     return list(iter_exact(x, k, budget))
 
 
-def enumerate_deficiency(k: int, delta, q: int) -> list[EgyptianTuple]:
-    """All k-tuples whose reciprocal sum is exactly k - delta.
+def enumerate_deficiency(k: int, delta, q: int,
+                         budget: int = ENUMERATE_BUDGET) -> list[EgyptianTuple]:
+    """All k-tuples whose reciprocal sum is exactly k - delta, listed by
+    enumerate_exact within its node budget.
 
     delta must be >= -1 with q*delta integral; the list is empty whenever
     k - delta falls outside [0, k] (in particular for every delta < 0).
@@ -317,4 +321,4 @@ def enumerate_deficiency(k: int, delta, q: int) -> list[EgyptianTuple]:
     target = k - delta
     if target < 0:
         return []
-    return enumerate_exact(target, k)
+    return enumerate_exact(target, k, budget)

@@ -28,9 +28,11 @@ from .bounds import (
     extremal_gap_tuple,
     extremal_lcm_tuple,
 )
-from .egyptian import DEFAULT_BUDGET, as_tuple, close_pairs, walk
+from .egyptian import as_tuple, close_pairs, walk
 from .rationals import SRQ, as_int, as_rational, canonical_q, parse_int, reduced, srq_decompose
 from .report import Counterexample, EqualityWitness, VerificationReport
+
+DEFAULT_BUDGET = 10**8
 
 
 def _witness(t: tuple[int, ...], delta: Fraction, d: SRQ) -> EqualityWitness:

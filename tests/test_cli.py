@@ -2,6 +2,7 @@
 
 import contextlib
 import doctest
+import functools
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from egyfrac import __version__, cli
 from egyfrac.bounds import EqualityCase, EqualityFamily
 from egyfrac.cli import main
+from egyfrac.egyptian import enumerate_exact
 from egyfrac.rationals import parse_rational
 
 
@@ -75,6 +77,16 @@ def test_enumerate_json_count(capsys):
     result = json.loads(out)["result"]
     assert result["count"] == 2
     assert result["tuples"] == [["3", "6"], ["4", "4"]]
+
+
+def test_enumerate_past_its_budget_exits_1(capsys, monkeypatch):
+    # the default budget of 10^6 nodes takes seconds to exhaust, so the
+    # command is run here against a small one
+    monkeypatch.setattr(cli, "enumerate_exact", functools.partial(enumerate_exact, budget=100))
+    code, out, err = run(capsys, "enumerate", "--sum", "1", "--terms", "9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("egyfrac: error: enumeration ran out of its budget of 100 nodes after ")
 
 
 def test_gap_with_bound(capsys):
@@ -450,7 +462,7 @@ CSV_COMMANDS = {"greedy", "split", "enumerate", "extremal"}
 @pytest.mark.parametrize("argv, inputs", [
     (["greedy", "9/20"], {"x": "9/20"}),
     (["split", "2,3", "--at", "2"], {"denominators": ["2", "3"], "at": 2}),
-    (["enumerate", "--sum", "1", "--terms", "3"], {"sum": "1", "terms": 3, "budget": 100000000}),
+    (["enumerate", "--sum", "1", "--terms", "3"], {"sum": "1", "terms": 3}),
     (["gap", "--delta", "1/2"], {"delta": "1/2", "q": 2, "k": None}),
     (["lcm-bound", "--delta", "5/2", "--q", "4"], {"delta": "5/2", "q": 4}),
     (["extremal", "--kind", "lcm", "--k", "4", "--delta", "3/2"],
@@ -711,8 +723,7 @@ _RATIONALS = [*_SMALL_RATIONALS, _HUGE, "1/" + _HUGE]
 _FUZZ_OPTIONS = {
     "greedy": [("", _RATIONALS, _BAD)],
     "split": [("", tuple(_INTS), _BAD), ("--at", _INTS, _BAD)],
-    "enumerate": [("--sum", _SMALL_RATIONALS, _BAD), ("--terms", _SMALL_INTS, _BAD),
-                  ("--budget", ["1", "100", "10000", "0", "-1"], _BAD)],
+    "enumerate": [("--sum", _SMALL_RATIONALS, _BAD), ("--terms", _SMALL_INTS, _BAD)],
     "gap": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD), ("--k", _INTS, _BAD)],
     "lcm-bound": [("--delta", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
     "extremal": [("--kind", ["gap", "lcm"], ["sum"]), ("--k", _INTS, _BAD),

@@ -438,6 +438,9 @@ def test_enumerate_budget_counts_the_lcm_searchs_nodes(k, delta, q):
     assert tuples == enumerate_exact(target, k)
     with pytest.raises(ValueError, match=rf"budget of {nodes - 1} nodes after \d+ tuples"):
         enumerate_exact(target, k, budget=nodes - 1)
+    assert enumerate_deficiency(k, delta, q, budget=nodes) == tuples
+    with pytest.raises(ValueError, match=rf"budget of {nodes - 1} nodes"):
+        enumerate_deficiency(k, delta, q, budget=nodes - 1)
 
 
 def test_enumerate_past_its_budget_names_the_count_reached():
@@ -456,7 +459,9 @@ def test_enumerate_past_its_budget_names_the_count_reached():
 
 
 def test_enumerate_budget_bounds_a_huge_class():
-    # --sum 1 --terms 9 does not finish unbudgeted; 10^5 nodes end it at once
+    # --sum 1 --terms 9 does not finish unbudgeted, and the default budget
+    # ENUMERATE_BUDGET = 10^6 takes seconds to refuse it; 10^5 nodes end it
+    # at once
     start = time.perf_counter()
     with pytest.raises(ValueError, match="budget of 100000 nodes after"):
         enumerate_exact(1, 9, budget=10**5)
