@@ -88,7 +88,6 @@ def _list_of(convert):
 
 
 def _coefficient(token: str) -> StandardCoefficient:
-    token = token.strip()
     if token == "one":
         return ONE
     if token.startswith("m:"):
@@ -364,13 +363,71 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _plain_args(parser: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """argv read from parser's own actions if it takes the plain form, with
+    vars() equal to parse_args'; else None, left to parse_args for its
+    help, version and error texts.
+
+    The plain form is a command, then tokens that are exactly one of its
+    option strings, each with one value (a flag takes none), or values of
+    its positionals. A value may start with '-' only where the parser reads
+    it as a negative number, and must pass the action's type and choices;
+    every required action must be given. build_parser declares no other
+    kind of action, and no string default that a type would convert.
+    """
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    if not argv or argv[0] not in commands:
+        return None
+    sub = commands[argv[0]]
+    values = {**sub._defaults, **{a.dest: a.default for a in sub._actions
+                                  if a.default is not argparse.SUPPRESS}}
+    positionals = [a for a in sub._actions if not a.option_strings]
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = sub._option_string_actions.get(token)
+        if action is None:
+            if not positionals:
+                return None
+            action, text = positionals.pop(0), token
+        elif isinstance(action, argparse._StoreConstAction):  # a flag, never required
+            values[action.dest] = action.const
+            continue
+        elif isinstance(action, argparse._StoreAction):
+            text = next(tokens, None)
+        else:  # -h, --help
+            return None
+        if text is None or text.startswith("-") and not sub._negative_number_matcher.match(text):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        given.add(action)
+    if any(a.required and a not in given for a in sub._actions):
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)  # as Namespace(**values), without a setattr each
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command with build_parser()'s cached parser; returns its
-    exit code."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 0
+    exit code. Plain argv is read by _plain_args, anything else by
+    argparse, with the same result."""
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(parser, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return e.code if isinstance(e.code, int) else 0
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv): formats, exit codes, env."""
 
+import argparse
 import contextlib
 import doctest
 import functools
@@ -10,6 +11,7 @@ import re
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -398,9 +400,15 @@ def test_version_and_usage_errors(capsys):
     (["split", "2,3", "--at", "\u0662"], "argument --at: malformed integer literal: '\u0662'"),
     (["geometry", "--dim", "1", "--coeffs", "m:\u0667"],
      "argument --coeffs: bad coefficient token 'm:\u0667'"),
+    # a coefficient token is not stripped, as an integer is not
+    (["geometry", "--dim", "1", "--coeffs", " m:2,m:3 ,m:7"],
+     "argument --coeffs: bad coefficient token ' m:2'"),
+    (["geometry", "--dim", "1", "--coeffs", "one "],
+     "argument --coeffs: bad coefficient token 'one '"),
     (["oracle", "--k-max", "1", "--delta-list", "1", "--q-mode", "all-upto:1_0"],
      "egyfrac: error: malformed q mode: 'all-upto:1_0'"),
 ], ids=["gap-k-underscore", "gap-k-space", "split-at-digit", "geometry-coeff-digit",
+        "geometry-coeff-leading-space", "geometry-coeff-trailing-space",
         "oracle-q-mode-underscore"])
 def test_integers_outside_the_wire_format_are_refused(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -675,11 +683,12 @@ _ARGS = {
     "oracle": ["--k-max", "2", "--delta-list", "0,1/2"],
     "geometry": ["--dim", "1", "--coeffs", "m:2,m:3,m:7,one"],
 }
-ORDER_ARGVS = [
+_FORMAT_ARGVS = [
     [command, *args, "--format", fmt]
     for command, args in _ARGS.items()
     for fmt in (("text", "json", "csv") if command in CSV_COMMANDS else ("text", "json"))
-] + [
+]
+ORDER_ARGVS = _FORMAT_ARGVS + [
     [],  # usage error: no subcommand
     ["gap", "--delta"],  # usage error: missing value
     ["--version"],
@@ -690,14 +699,17 @@ ORDER_ARGVS = [
 ]
 
 
-def test_outputs_do_not_depend_on_call_order(capsys, fresh_parser):
-    def outcome(argv):
+def _outcome(argv):
+    """main(argv)'s exit code, stdout (oracle's millis zeroed) and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-        out, err = capsys.readouterr()
-        return code, re.sub(r'"millis": \d+', '"millis": 0', out), err
+    return code, re.sub(r'"millis": \d+', '"millis": 0', out.getvalue()), err.getvalue()
 
-    forward = [outcome(argv) for argv in ORDER_ARGVS]
-    backward = [outcome(argv) for argv in reversed(ORDER_ARGVS)][::-1]
+
+def test_outputs_do_not_depend_on_call_order(fresh_parser):
+    forward = [_outcome(argv) for argv in ORDER_ARGVS]
+    backward = [_outcome(argv) for argv in reversed(ORDER_ARGVS)][::-1]
     for argv, ahead, behind in zip(ORDER_ARGVS, forward, backward):
         assert ahead == behind, argv
     codes = [code for code, _, _ in forward]
@@ -735,7 +747,7 @@ _FUZZ_OPTIONS = {
                ("--budget", ["1", "100", "10000", "0", "-1"], _BAD)],
     "geometry": [("--dim", _INTS, _BAD),
                  ("--coeffs", ("one", "m:1", "m:2", "m:3", "m:7", "m:" + _HUGE),
-                  ["m:0", "m:-1", "m:\u0667", "m: 2", "m:1_0", "two"]),
+                  ["m:0", "m:-1", "m:\u0667", "m: 2", "m:1_0", "two", " m:2", "one "]),
                  ("--t", _RATIONALS, _BAD), ("--q", _INTS, _BAD)],
 }
 
@@ -776,3 +788,132 @@ def test_fuzzed_argv_exits_0_1_or_2(argv):
                    for line in err.getvalue().splitlines())
     if code == 2:
         assert argv[0] == "oracle"
+
+
+def test_parser_declares_only_what_the_plain_reader_reads():
+    # _plain_args reads help, single-value and store_true actions, and
+    # takes defaults as they are
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            assert (isinstance(action, (argparse._HelpAction, argparse._StoreTrueAction))
+                    or type(action) is argparse._StoreAction and action.nargs is None), action
+            assert not (isinstance(action.default, str) and action.type is not None), action
+
+
+_NOT_PLAIN = {
+    "empty": [], "version": ["--version"], "top-help": ["-h"], "unknown-command": ["nonsense"],
+    "help": ["gap", "-h"], "long-help": ["gap", "--help"],
+    "version-after-command": ["gap", "--delta", "2", "--version"],
+    "separator": ["gap", "--", "--delta", "2"], "equals": ["gap", "--delta=2"],
+    "prefix": ["gap", "--del", "2"], "unknown-option": ["gap", "--delta", "2", "--x", "1"],
+    "missing-value": ["gap", "--delta"], "option-as-value": ["gap", "--delta", "--k", "3"],
+    "missing-required": ["gap"], "missing-required-option": ["split", "2,3"],
+    "invalid-format": ["gap", "--delta", "2", "--format", "xml"],
+    "csv-refused": ["gap", "--delta", "2", "--format", "csv"],
+    "invalid-kind": ["extremal", "--kind", "sum", "--k", "2", "--delta", "1"],
+    "refused-by-type": ["gap", "--delta", "2", "--k", "1_0"],
+    "dash-value": ["gap", "--delta", "-x"], "extra-positional": ["greedy", "1", "2"],
+    "spaced-negative": ["greedy", "-1 2"], "lone-dash": ["greedy", "-"],
+    "flag-then-value": ["sylvester", "--p", "3", "--q", "1", "--table", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", _NOT_PLAIN.values(), ids=_NOT_PLAIN.keys())
+def test_argparse_reads_what_is_not_plain(argv):
+    # help, version, '--', '--opt=value', an abbreviated or unknown option, a
+    # missing value or required option, a refused value or choice, an extra
+    # positional and a value read as an option all go to argparse
+    assert cli._plain_args(cli.build_parser(), argv) is None
+
+
+_STRAYS = ["-1", "-1/2", "-x", "", " ", "-1 2"]
+
+
+@st.composite
+def _perturbed_argv(draw):
+    """_cli_argv(), as drawn or with one change: '--' inserted, help or
+    version appended, an option cut to a prefix or joined to its value by
+    '=', a valued option repeated, a stray token inserted, or a token
+    dropped."""
+    argv = draw(_cli_argv())
+    options = [i for i, token in enumerate(argv) if token.startswith("--")]
+    valued = [i for i in options if argv[i] != "--table"]  # --format among them
+    change = draw(st.sampled_from(
+        ["none", "separator", "help", "prefix", "equals", "repeat", "stray", "drop"]))
+    if change == "separator":
+        argv.insert(draw(st.integers(0, len(argv))), "--")
+    elif change == "help":
+        argv.append(draw(st.sampled_from(["-h", "--help", "--version"])))
+    elif change == "prefix":
+        i = draw(st.sampled_from(options))
+        argv[i] = argv[i][:draw(st.integers(2, len(argv[i]) - 1))]
+    elif change == "equals":
+        i = draw(st.sampled_from(valued))
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif change == "repeat":
+        i = draw(st.sampled_from(valued))
+        argv += [argv[i], draw(st.sampled_from([argv[i + 1], "2", "json"]))]
+    elif change == "stray":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAYS)))
+    elif change == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_perturbed_argv())
+@example(["gap", "--delta", "-1/2", "--q", "2", "--format", "json"])
+@example(["sylvester", "--p", "3", "--q", "1", "--table", "--table", "--format", "text"])
+@example(["gap", "--delta", "2", "--format", "xml"])
+@example(["gap", "--format", "json"])
+def test_plain_reading_matches_argparse(argv):
+    parser = cli.build_parser()
+    plain = cli._plain_args(parser, argv)
+    if plain is not None:
+        try:
+            parsed = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which was read plainly")
+        assert vars(plain) == vars(parsed)
+    with mock.patch.object(cli, "_plain_args", lambda parser, argv: None):
+        by_argparse = _outcome(argv)
+    assert _outcome(argv) == by_argparse
+
+
+# one argv of each shape the query benchmark runs through main, less its
+# --format: every command, negative deltas and sylvester's --table
+_QUERY_SHAPES = [
+    ["gap", "--delta", "-1/2", "--q", "2", "--k", "3"],
+    ["gap", "--delta", "-1", "--q", "1"],
+    ["lcm-bound", "--delta", "5/2", "--q", "4"],
+    ["extremal", "--kind", "gap", "--k", "2", "--delta", "-1"],
+    ["extremal", "--kind", "lcm", "--k", "4", "--delta", "3/2"],
+    ["sylvester", "--p", "12", "--q", "3"],
+    ["sylvester", "--p", "4", "--q", "2", "--table"],
+    ["geometry", "--dim", "2", "--coeffs", "m:2,m:3,m:4,one,one"],
+    ["greedy", "5/6"],
+    ["split", "2,3,9", "--at", "3"],
+    ["enumerate", "--sum", "3/4", "--terms", "3"],
+]
+
+
+def test_plain_argv_never_reaches_argparse(capsys, monkeypatch):
+    # a reader that never fires would pass every other test and gain nothing
+    def refuse(self, args=None, namespace=None):
+        raise AssertionError(f"argparse read {args}")
+
+    def formats(command):
+        return ("text", "json", "csv") if command in CSV_COMMANDS else ("text", "json")
+
+    argvs = [
+        *(shlex.split(command) for command, _ in _readme_examples()),
+        *_FORMAT_ARGVS,
+        *([*argv, "--format", fmt] for argv, _ in _CONVERTED for fmt in formats(argv[0])),
+        *([*argv, "--format", fmt] for argv in _QUERY_SHAPES for fmt in formats(argv[0])),
+    ]
+    monkeypatch.setattr(cli._Parser, "parse_args", refuse)
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv

@@ -412,6 +412,25 @@ MUTANTS = [
            "lines = [sep.join(str(int(v)) for v in row) for row in rows]",
            (T_CLI + "test_each_printed_integer_is_converted_once",
             T_CLI + "test_sylvester_converts_each_u_once_and_no_t")),
+    # plain argv is read from the parser's actions, to the same result as
+    # argparse, and everything else is left to argparse
+    Mutant("plain-parse-skips-choices", CLI,
+           "        if action.choices is not None and value not in action.choices:\n"
+           "            return None\n",
+           "",
+           (T_CLI + "test_argparse_reads_what_is_not_plain[invalid-format]",
+            T_CLI + "test_plain_reading_matches_argparse",
+            T_CLI + "test_csv_refused_before_the_command_runs")),
+    Mutant("plain-parse-skips-required", CLI,
+           "    if any(a.required and a not in given for a in sub._actions):\n"
+           "        return None\n",
+           "",
+           (T_CLI + "test_argparse_reads_what_is_not_plain[missing-required]",
+            T_CLI + "test_argparse_reads_what_is_not_plain[missing-required-option]",
+            T_CLI + "test_plain_reading_matches_argparse")),
+    Mutant("plain-parse-never-plain", CLI,
+           "    if not argv or argv[0] not in commands:", "    if True:",
+           (T_CLI + "test_plain_argv_never_reaches_argparse",)),
     # the shared tables are bounded: a sweep over many seeds keeps MAX_TABLES
     Mutant("sylvester-tables-unbounded", SYLVESTER,
            "maxsize=MAX_TABLES", "maxsize=None",
