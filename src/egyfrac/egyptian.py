@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .rationals import as_int, as_rational, srq_decompose
+from .rationals import as_int, as_rational, reduced, srq_decompose
 
 EgyptianTuple = tuple[int, ...]
 
@@ -42,10 +42,32 @@ def as_tuple(denominators: Iterable[int]) -> EgyptianTuple:
     return t
 
 
+def reciprocal_sum(t: Iterable[int]) -> tuple[int, int]:
+    """The reciprocal sum of t as an integer pair (num, den) in lowest
+    terms, den > 0; the empty tuple sums to (0, 1). Each denominator must
+    be a positive integer, in any order.
+
+    Each 1/m is added by the steps Fraction's own addition takes: with
+    g = gcd(den, m), the new numerator is coprime to den * m / g except
+    within g, so one gcd against g keeps the pair reduced.
+    """
+    num, den = 0, 1
+    for m in t:
+        g = math.gcd(den, as_int(m, "denominator"))
+        if g == 1:
+            num, den = num * m + den, den * m
+        else:
+            s = den // g
+            num = num * (m // g) + s
+            g2 = math.gcd(num, g)
+            num, den = num // g2, s * (m // g2)
+    return num, den
+
+
 def tuple_sum(t: Iterable[int]) -> Fraction:
     """Exact reciprocal sum; the empty tuple sums to 0. Each denominator
     must be a positive integer, in any order."""
-    return sum((Fraction(1, as_int(m, "denominator")) for m in t), Fraction(0))
+    return reduced(*reciprocal_sum(t), 1)
 
 
 def tuple_lcm(t: Iterable[int]) -> int:
@@ -67,13 +89,19 @@ def greedy(x) -> EgyptianTuple:
     """
     x = as_rational(x, "x", 0)
     check_terms(x, "x")
-    ones = x.numerator // x.denominator
+    ones, num = divmod(x.numerator, x.denominator)
     out = [1] * ones
-    x -= ones
-    while x:
-        m = -(-x.denominator // x.numerator)  # ceil(1/x)
+    den = x.denominator
+    # the remainder num/den, kept reduced by the steps of Fraction's own
+    # subtraction, as reciprocal_sum keeps its sum
+    while num:
+        m = -(-den // num)  # ceil(den/num)
         out.append(m)
-        x -= Fraction(1, m)
+        g = math.gcd(den, m)
+        s = den // g
+        num = num * (m // g) - s
+        g2 = math.gcd(num, g)
+        num, den = num // g2, s * (m // g2)
     return tuple(out)
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import gap_amount, lcm_bound
-from .rationals import as_int, as_rational, canonical_q
+from .egyptian import reciprocal_sum
+from .rationals import as_int, as_rational, canonical_q, reduced
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,9 @@ class LogStructure:
     def __post_init__(self):
         as_int(self.dim, "dimension")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        for c in self.coefficients:
+            if not isinstance(c, StandardCoefficient):
+                raise ValueError(f"coefficients must be StandardCoefficient, got {c!r}")
 
     @property
     def finite_denominators(self) -> tuple[int, ...]:
@@ -74,18 +78,26 @@ class LogStructure:
         return sum(1 for c in self.coefficients if c.is_one)
 
 
+def _less_finite_sum(whole: int, ls: LogStructure) -> Fraction:
+    """whole - sum of 1/m over the finite coefficients, as one Fraction."""
+    num, den = reciprocal_sum(c.m for c in ls.coefficients if not c.is_one)
+    # num is coprime to den, so whole * den - num is too
+    return reduced(whole * den - num, den, 1)
+
+
 def volume(ls: LogStructure) -> Fraction:
-    """Degree v = -(dim + 1) + sum of the boundary coefficients."""
-    return -(ls.dim + 1) + sum((c.value for c in ls.coefficients), Fraction(0))
+    """Degree v = -(dim + 1) + sum of the boundary coefficients: each
+    coefficient adds 1, less 1/m if it is finite."""
+    return _less_finite_sum(len(ls.coefficients) - ls.dim - 1, ls)
 
 
 def deficiency(ls: LogStructure) -> Fraction:
     """The delta = dim - c + 1 + v matching the finite-part tuple.
 
-    Equals the reciprocal-sum shortfall of the finite denominators, so it is
-    always >= 0.
+    Equals the reciprocal-sum shortfall k - sum of 1/m of the k finite
+    denominators, so it is always >= 0.
     """
-    return ls.dim - ls.ones_count + 1 + volume(ls)
+    return _less_finite_sum(len(ls.coefficients) - ls.ones_count, ls)
 
 
 def _threshold(dim: int, t) -> Fraction:
@@ -136,7 +148,8 @@ def bpf_index(ls: LogStructure) -> int:
         raise ValueError(f"volume must be nonnegative, got {v}")
     r = math.lcm(*ls.finite_denominators)
     for c in ls.coefficients:
-        assert (r * c.value).denominator == 1, f"index {r} fails to clear {c}"
+        # r * (1 - 1/m) is an integer exactly when m divides r
+        assert c.is_one or r % c.m == 0, f"index {r} fails to clear {c}"
     assert r <= index_bound(ls.dim, v, canonical_q(v)), (
         f"clearing index {r} above the index bound for {ls}"
     )

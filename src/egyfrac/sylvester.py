@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from fractions import Fraction
 
 from .rationals import as_int
 from .report import Counterexample, VerificationReport
@@ -92,18 +91,19 @@ def check_identities(p_max: int, q_max: int) -> VerificationReport:
     report = VerificationReport({"p_max": p_max, "q_max": q_max})
     for q in range(1, q_max + 1):
         table = _shared_table(q)
-        total = Fraction(0)
-        product = 1
+        # the running sum num/den, unreduced, so den is the running
+        # product; the sum identity is checked by cross-multiplying
+        num, den = 0, 1
         for p in range(1, p_max + 1):
             term = 1 + table.u(p)
-            total += Fraction(1, term)
-            product *= term
+            num, den = num * term + den, den * term
             nxt = table.u(p + 1)
-            if total != Fraction(1, q) - Fraction(1, nxt):
+            # num/den == 1/q - 1/nxt == (nxt - q)/(q * nxt)
+            if num * q * nxt != (nxt - q) * den:
                 report.counterexamples.append(
                     Counterexample("reciprocal sum identity", (p, q), q=q)
                 )
-            if product * q != nxt:
+            if den * q != nxt:
                 report.counterexamples.append(
                     Counterexample("companion product identity", (p, q), q=q)
                 )

@@ -20,6 +20,7 @@ from egyfrac.egyptian import (
     greedy,
     iter_exact,
     position_range,
+    reciprocal_sum,
     split_expand,
     tuple_lcm,
     tuple_sum,
@@ -27,6 +28,7 @@ from egyfrac.egyptian import (
 )
 from egyfrac.oracle import max_lcm_search
 from egyfrac.rationals import floor_frac
+from egyfrac.sylvester import sylvester_term, sylvester_u
 
 
 def test_as_tuple_validates():
@@ -47,6 +49,65 @@ def test_tuple_sum_and_lcm():
     assert tuple_lcm((2, 3, 6)) == 6
     assert tuple_lcm((4, 6)) == 12
     assert tuple_lcm(()) == 1
+
+
+def _fraction_sum(t):
+    """tuple_sum as it read before sums were carried as integer pairs."""
+    return sum((Fraction(1, m) for m in t), Fraction(0))
+
+
+def _sum_cases(rng):
+    # repeats, 1s, the empty tuple, entries past 2**64 and deep Sylvester
+    # tails, whose sums reduce by a factor inside gcd(den, m)
+    yield ()
+    yield (1, 1, 1)
+    yield (2**70, 2**70)
+    yield (6, 2**70 * 3, 2**70 * 3, 2**71)
+    for p in range(1, 12):
+        for q in (1, 2, 3):
+            tail = [sylvester_term(i, q) for i in range(1, p + 1)]
+            yield tuple(tail)
+            yield (*tail, tail[-1], sylvester_u(p + 1, q))
+            yield (*tail, *tail)
+    for _ in range(500):
+        pool = [rng.randint(1, 12) for _ in range(3)] + [rng.randint(1, 10**6)]
+        pool.append(2**rng.randint(60, 80) * rng.choice((1, 3, 5)))
+        yield tuple(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+
+
+def test_tuple_sum_matches_the_fraction_reference():
+    rng = random.Random(33)
+    for t in _sum_cases(rng):
+        want = _fraction_sum(t)
+        for order in (t, t[::-1]):
+            got = tuple_sum(order)
+            # equal, and stored in lowest terms as the reference is
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), t
+            assert reciprocal_sum(order) == (want.numerator, want.denominator)
+    with pytest.raises(ValueError, match="^denominator must be a positive integer, got 0$"):
+        tuple_sum((2, 0))
+    with pytest.raises(ValueError, match="^denominator must be a positive integer, got 2.0$"):
+        tuple_sum((3, 2.0))
+
+
+def _fraction_greedy(x):
+    """greedy as it read before its remainder was carried as an integer pair."""
+    ones = x.numerator // x.denominator
+    out = [1] * ones
+    x -= ones
+    while x:
+        m = -(-x.denominator // x.numerator)
+        out.append(m)
+        x -= Fraction(1, m)
+    return tuple(out)
+
+
+def test_greedy_matches_the_fraction_reference():
+    rng = random.Random(34)
+    for _ in range(500):
+        den = rng.randint(1, 10 ** rng.randint(1, 4))
+        x = Fraction(rng.randint(0, 3 * den), den)
+        assert greedy(x) == _fraction_greedy(x), x
 
 
 def test_greedy_frozen_examples():

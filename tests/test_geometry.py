@@ -1,7 +1,10 @@
 """Dictionary between boundary coefficients and unit-fraction deficiency."""
 
+import contextlib
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +45,13 @@ def test_log_structure_accessors():
     assert ls.ones_count == 2
     with pytest.raises(ValueError):
         LogStructure(0, (ONE,))
+
+
+def test_log_structure_refuses_an_entry_that_is_not_a_coefficient():
+    for entry in (3, F(1, 2), None, "one"):
+        with pytest.raises(ValueError, match=f"^coefficients must be StandardCoefficient, "
+                                             f"got {re.escape(repr(entry))}$"):
+            LogStructure(1, (finite(2), entry))
 
 
 def test_volume_deficiency_frozen():
@@ -186,3 +196,88 @@ def test_bpf_index_random_structures():
         # the internal asserts already enforce these; restate them here
         assert all((r * c.value).denominator == 1 for c in ls.coefficients)
         assert r <= index_bound(ls.dim, v, canonical_q(v))
+
+
+def _fraction_volume(ls):
+    """volume as it read before sums were carried as integer pairs."""
+    return -(ls.dim + 1) + sum((c.value for c in ls.coefficients), F(0))
+
+
+def _reference_structures(rng):
+    # dim 1-3, up to nine coefficients, with and without ONE; some
+    # denominators past 2**64, where the result is built from lowest terms
+    for _ in range(1500):
+        ones = rng.random() < 0.5
+        pool = [rng.randint(1, 12), rng.randint(1, 60), rng.randint(1, 2**rng.randint(8, 70))]
+        coeffs = [ONE if ones and rng.random() < 0.3 else finite(rng.choice(pool))
+                  for _ in range(rng.randint(0, 9))]
+        yield LogStructure(rng.randint(1, 3), tuple(coeffs))
+
+
+def test_volume_deficiency_and_index_match_the_fraction_reference():
+    rng = random.Random(53)
+    indexed = 0
+    for ls in _reference_structures(rng):
+        want = _fraction_volume(ls)
+        v = volume(ls)
+        assert (v.numerator, v.denominator) == (want.numerator, want.denominator), ls
+        want = ls.dim - ls.ones_count + 1 + want
+        delta = deficiency(ls)
+        assert (delta.numerator, delta.denominator) == (want.numerator, want.denominator), ls
+        if v >= 0:
+            r = bpf_index(ls)
+            assert r == math.lcm(*ls.finite_denominators)
+            assert all((r * c.value).denominator == 1 for c in ls.coefficients)
+            indexed += 1
+        else:
+            with pytest.raises(ValueError, match="^volume must be nonnegative"):
+                bpf_index(ls)
+    assert indexed > 300
+
+
+@contextlib.contextmanager
+def _counting_fractions():
+    """Count the Fractions built inside the block: by Fraction(...) and, on
+    Python 3.12 and later, by the arithmetic's own _from_coprime_ints."""
+    built = []
+    saved = {name: vars(F)[name] for name in ("__new__", "_from_coprime_ints") if name in vars(F)}
+    new = saved["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counting_new)
+    if "_from_coprime_ints" in saved:
+        coprime = saved["_from_coprime_ints"].__func__
+
+        def counting_coprime(cls, numerator, denominator):
+            built.append(cls)
+            return coprime(cls, numerator, denominator)
+
+        F._from_coprime_ints = classmethod(counting_coprime)
+    try:
+        yield built
+    finally:
+        for name, original in saved.items():
+            setattr(F, name, original)
+
+
+def test_sums_build_one_fraction():
+    terms = tuple(range(2, 14))
+    ls = LogStructure(2, tuple(finite(m) for m in range(2, 11)))
+    original = vars(F)["__new__"]
+    with _counting_fractions() as built:
+        total = tuple_sum(terms)
+    assert len(built) == 1
+    with _counting_fractions() as built:
+        v = volume(ls)
+    assert len(built) == 1
+    # the counter sees a Fraction per term in the references
+    with _counting_fractions() as built:
+        assert sum((F(1, m) for m in terms), F(0)) == total
+    assert len(built) >= 2 * len(terms)
+    with _counting_fractions() as built:
+        assert _fraction_volume(ls) == v
+    assert len(built) >= 2 * len(ls.coefficients)
+    assert vars(F)["__new__"] is original

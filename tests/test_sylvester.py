@@ -216,6 +216,56 @@ def test_check_identities_reports_each_broken_identity(monkeypatch):
     assert not report.budget_exceeded
 
 
+def _fraction_counterexamples(table_of, p_max, q_max):
+    """check_identities' claims as it checked them before its running sum
+    was carried as an integer pair."""
+    out = []
+    for q in range(1, q_max + 1):
+        table = table_of(q)
+        total, product = Fraction(0), 1
+        for p in range(1, p_max + 1):
+            term = 1 + table.u(p)
+            total += Fraction(1, term)
+            product *= term
+            nxt = table.u(p + 1)
+            if total != Fraction(1, q) - Fraction(1, nxt):
+                out.append(("reciprocal sum identity", (p, q), q))
+            if product * q != nxt:
+                out.append(("companion product identity", (p, q), q))
+    return out
+
+
+class _Shifted(SylvesterTable):
+    """A table whose u(at) reads off by `by` for the seed `seed` only."""
+
+    def __init__(self, q, at, by, seed):
+        super().__init__(q)
+        self.shift = (at, by if q == seed else 0)
+
+    def u(self, p):
+        at, by = self.shift
+        return super().u(p) + by * (p == at)
+
+
+@pytest.mark.parametrize("at,by,seed", [(0, 0, 0), (2, 1, 1), (3, -1, 2), (5, 6, 3),
+                                        (7, 1, 4), (9, 2, 1)])
+def test_check_identities_match_the_fraction_reference(monkeypatch, at, by, seed):
+    def shifted(q):
+        return _Shifted(q, at, by, seed)
+
+    monkeypatch.setattr(sylvester, "_shared_table", shifted)
+    found = 0
+    for p_max, q_max in [(1, 1), (3, 2), (8, 4), (9, 3)]:
+        report = check_identities(p_max, q_max)
+        want = _fraction_counterexamples(shifted, p_max, q_max)
+        assert [(c.claim, c.values, c.q) for c in report.counterexamples] == want
+        assert report.passed == (not want)
+        assert report.stats.nodes == p_max * q_max
+        found += len(want)
+    # a shifted value breaks an identity somewhere on the grid
+    assert bool(found) == (by != 0)
+
+
 def test_check_identities_rejects_empty_ranges():
     with pytest.raises(ValueError):
         check_identities(0, 5)

@@ -45,6 +45,7 @@ SYLVESTER = "src/egyfrac/sylvester.py"
 REPORT = "src/egyfrac/report.py"
 MAJORIZATION = "src/egyfrac/majorization.py"
 RATIONALS = "src/egyfrac/rationals.py"
+GEOMETRY = "src/egyfrac/geometry.py"
 T_ORACLE = "tests/test_oracle.py::"
 T_CLI = "tests/test_cli.py::"
 T_BOUNDS = "tests/test_bounds.py::"
@@ -52,6 +53,7 @@ T_EGYPTIAN = "tests/test_egyptian.py::"
 T_SYLVESTER = "tests/test_sylvester.py::"
 T_MAJORIZATION = "tests/test_majorization.py::"
 T_RATIONALS = "tests/test_rationals.py::"
+T_GEOMETRY = "tests/test_geometry.py::"
 _LCM_FAMILIES = """\
         if s == 2 and r > 1:
             return EqualityFamily.TWO_TERM_LCM
@@ -188,8 +190,8 @@ MUTANTS = [
            (T_ORACLE + "test_walk_matches_the_recursive_walk",
             T_ORACLE + "test_window_walker_matches_reference")),
     Mutant("walk-reduces-its-sums", EGYPTIAN,
-           "        num, den = num * m + den, den * m\n",
-           "        num, den = num * m + den, den * m\n"
+           "        prefix[-1] = m\n        num, den = num * m + den, den * m\n",
+           "        prefix[-1] = m\n        num, den = num * m + den, den * m\n"
            "        g = math.gcd(num, den)\n"
            "        num, den = num // g, den // g\n",
            (T_EGYPTIAN + "test_walk_yields_each_prefix_sum_and_side",
@@ -441,12 +443,25 @@ MUTANTS = [
            (T_SYLVESTER + "test_u_frozen_values",)),
     # check_identities reports each identity it finds broken
     Mutant("identity-sum-check-dropped", SYLVESTER,
-           "            if total != Fraction(1, q) - Fraction(1, nxt):",
+           "            if num * q * nxt != (nxt - q) * den:",
            "            if False:",
-           (T_SYLVESTER + "test_check_identities_reports_each_broken_identity",)),
+           (T_SYLVESTER + "test_check_identities_reports_each_broken_identity",
+            T_SYLVESTER + "test_check_identities_match_the_fraction_reference")),
     Mutant("identity-product-check-dropped", SYLVESTER,
-           "            if product * q != nxt:", "            if False:",
-           (T_SYLVESTER + "test_check_identities_reports_each_broken_identity",)),
+           "            if den * q != nxt:", "            if False:",
+           (T_SYLVESTER + "test_check_identities_reports_each_broken_identity",
+            T_SYLVESTER + "test_check_identities_match_the_fraction_reference")),
+    # reciprocal sums on integer pairs: the sum kept in lowest terms, and
+    # the volume's count of its coefficients
+    Mutant("tuple-sum-skips-second-gcd", EGYPTIAN,
+           "            g2 = math.gcd(num, g)\n", "            g2 = 1\n",
+           (T_EGYPTIAN + "test_tuple_sum_matches_the_fraction_reference",
+            T_GEOMETRY + "test_volume_deficiency_and_index_match_the_fraction_reference")),
+    Mutant("volume-counts-only-finite-coefficients", GEOMETRY,
+           "_less_finite_sum(len(ls.coefficients) - ls.dim - 1, ls)",
+           "_less_finite_sum(len(ls.finite_denominators) - ls.dim - 1, ls)",
+           (T_GEOMETRY + "test_volume_deficiency_frozen",
+            T_GEOMETRY + "test_volume_deficiency_and_index_match_the_fraction_reference")),
     # a report times its run from when it was built
     Mutant("report-clock-restarts-at-finish", REPORT,
            "time.perf_counter() - self.started", "time.perf_counter() - time.perf_counter()",
