@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .rationals import as_int, as_rational, reduced, srq_decompose
+from .sylvester import MAX_BITS
 
 EgyptianTuple = tuple[int, ...]
 
@@ -82,7 +83,8 @@ def greedy(x) -> EgyptianTuple:
     The next denominator is the smallest m >= 1 with m*x >= 1, so x's integer
     part is listed at once as leading 1s. On the rest the reduced numerator
     of the remainder drops strictly every step, which forces termination. An
-    x above MAX_TERMS, whose tuple would hold more terms, is refused.
+    x above MAX_TERMS, whose tuple would hold more terms, is refused, and so
+    is a step that could square the remainder's denominator past MAX_BITS.
 
     >>> greedy(Fraction(5, 6))
     (2, 3)
@@ -95,6 +97,9 @@ def greedy(x) -> EgyptianTuple:
     # the remainder num/den, kept reduced by the steps of Fraction's own
     # subtraction, as reciprocal_sum keeps its sum
     while num:
+        if 2 * den.bit_length() > MAX_BITS:
+            raise ValueError(f"greedy's remainder passes the {MAX_BITS}-bit ceiling after "
+                             f"{len(out)} terms: its denominator has {den.bit_length()} bits")
         m = -(-den // num)  # ceil(den/num)
         out.append(m)
         g = math.gcd(den, m)
@@ -208,11 +213,11 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
 
     An exact target (cap == low) stops at every prefix below it with two
     slots left: that prefix is yielded, but its children and grandchildren
-    are not visited. Its consumer closes it with close_pairs, whose pairs
-    complete it to every tuple summing to low. So an exact walk yields its
-    prefixes with two or more slots (for k = 1, the root and its one leaf,
-    if any), and expanding each two-slot prefix by its pairs gives every
-    k-term tuple summing to low once, in lexicographic order.
+    are not visited: exact_closings completes it by the pairs that
+    two_term_pairs gives. So an exact walk yields its prefixes with two or
+    more slots (for k = 1, the root and its one leaf, if any), and
+    expanding each two-slot prefix by its pairs gives every k-term tuple
+    summing to low once, in lexicographic order.
 
     The walk is one loop over an explicit stack, without recursion, so a
     prefix costs the same at every depth. A prefix computes its children's
@@ -279,50 +284,65 @@ def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
         num, den = num * m + den, den * m
 
 
-def close_pairs(prefix: list[int], side: int, den: int, low) -> list[tuple[int, int]]:
-    """The pairs (a, b), in increasing a, that complete a prefix which an
-    exact walk toward low yielded with two slots left (pass its side < 0
-    and den): two_term_pairs on the reduced remainder, with a no smaller
-    than the prefix's last entry.
+def exact_closings(x, k: int, budget: int) -> Iterator[tuple[EgyptianTuple, int, int, list, int]]:
+    """The k-term tuples summing to x (a Fraction), within a node budget:
+    the one exact-class core under iter_exact and oracle.max_lcm_search.
+
+    Yields (head, num, den, tails, nodes) in lexicographic order: head +
+    tail is a member for each tail, num/den is head's sum as walk carries
+    it, and nodes counts the nodes spent so far. Each prefix that
+    walk(k, x, x) stops at with two slots left is a head, closed by
+    two_term_pairs on the reduced remainder, and yielded if a pair closes
+    it. For k <= 1 nothing is closed: a walk leaf on x, if any, is the one
+    member, a tail under (). A node is each prefix walk yields and each
+    closing pair, so that member costs only its own walk node. The last yield carries no
+    tails and the total, or, past the budget, budget + 1 and only the pairs
+    that fit.
 
     two_term_pairs factors the remainder's denominator q only when more
     than SCAN_LIMIT candidates remain. That trial division takes up to
     about sqrt(q)/2 steps, and no node budget bounds it: a remainder whose
     denominator has a large prime factor stalls a single closing.
     """
-    b = low.denominator
-    g = math.gcd(side, b * den)
-    return two_term_pairs(prefix[-1] if prefix else 1, -side // g, b * den // g)
+    b = x.denominator
+    nodes = 0
+    for prefix, slots, side, num, den in walk(k, x, x):
+        nodes += 1
+        if nodes > budget:
+            break
+        if slots == 2 and side < 0:
+            g = math.gcd(side, b * den)
+            prev = prefix[-1] if prefix else 1
+            # one node per pair; the first pair past the budget is counted
+            tails = two_term_pairs(prev, -side // g, b * den // g)[:budget - nodes + 1]
+            nodes += len(tails)
+            if nodes > budget:
+                yield tuple(prefix), num, den, tails[:-1], nodes
+                return
+            if tails:
+                yield tuple(prefix), num, den, tails, nodes
+        elif not slots and not side:
+            yield (), 0, 1, [tuple(prefix)], nodes
+    yield (), 0, 1, [], nodes
 
 
 def iter_exact(x, k: int, budget: int = ENUMERATE_BUDGET) -> Iterator[EgyptianTuple]:
-    """Yield every k-term representation of x, in lexicographic order.
-
-    The target is exact, so walk stops two slots short, and each prefix it
-    yields there is completed by the pairs close_pairs returns. The budget
-    counts nodes as oracle.max_lcm_search does: one per prefix walk yields
-    and one per pair that closes a prefix. A walk that needs more raises
-    ValueError, naming the budget and the tuples yielded before it ran
-    out; a closing's pairs are yielded only if all of them fit.
+    """Yield every k-term representation of x, in lexicographic order, as
+    exact_closings lists them. A class past the node budget raises
+    ValueError, naming the budget and the tuples yielded before it ran out;
+    a closing's tuples are yielded only if all of them fit.
     """
     x = as_rational(x, "target sum", 0)
     as_int(k, "term count", 0)
     as_int(budget, "budget")
-    nodes = count = 0
-    for prefix, slots, side, _, den in walk(k, x, x):
-        pairs = close_pairs(prefix, side, den, x) if slots == 2 and side < 0 else ()
-        nodes += 1 + len(pairs)
+    count = 0
+    for head, _, _, tails, nodes in exact_closings(x, k, budget):
         if nodes > budget:
             raise ValueError(f"enumeration ran out of its budget of {budget} nodes "
                              f"after {count} tuples")
-        if pairs:
-            head = tuple(prefix)
-            for pair in pairs:
-                yield head + pair
-            count += len(pairs)
-        elif not slots and not side:
-            yield tuple(prefix)
-            count += 1
+        for tail in tails:
+            yield head + tail
+        count += len(tails)
 
 
 def enumerate_exact(x, k: int, budget: int = ENUMERATE_BUDGET) -> list[EgyptianTuple]:

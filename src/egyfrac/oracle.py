@@ -10,10 +10,10 @@ extremal constructors.
 Both searches iterate egyptian.walk, in lexicographic order, and count
 every prefix it yields as one node against their budget; running out of
 budget is reported as its own failure mode, never as a counterexample.
-max_lcm_search's docstring says how it closes the exact class's last two
-slots and what it counts as a node there; the window's open interval has
-no divisor form, so its walk visits, and counts, every prefix down to the
-last slot.
+max_lcm_search takes the exact class from egyptian.exact_closings, which
+closes its last two slots and says what it counts as a node there; the
+window's open interval has no divisor form, so its walk visits, and
+counts, every prefix down to the last slot.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .bounds import (
     extremal_gap_tuple,
     extremal_lcm_tuple,
 )
-from .egyptian import as_tuple, close_pairs, walk
+from .egyptian import as_tuple, exact_closings, walk
 from .rationals import SRQ, as_int, as_rational, canonical_q, parse_int, reduced, srq_decompose
 from .report import Counterexample, EqualityWitness, VerificationReport
 
@@ -148,21 +148,14 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     """Enumerate the whole class of k-tuples summing to k - delta, record the
     maximum lcm with all its attainers, and compare against lcm_bound.
 
-    Every enumerated tuple whose lcm the modulus divides (all of them when q
-    is canonical) is also run through lcm_square_check's core; walk and
-    close_pairs have already proved its class membership, and the check
-    re-verifies it without Fractions, on the member's sum as walk carries
-    it: a numerator over the member's product. walk stops at each prefix P
-    with two slots left, and the search closes P with close_pairs and
-    checks all its members in one inner loop, each member P + (a, b) taking
-    P's sum num/den one walk step at a time, through a and then b. Tuples
-    whose lcm equals the bound become equality witnesses.
-    The budget counts one node per prefix walk yields (those with two or
-    more slots left; for k = 1, the root and its member) and one per pair
-    that closes a prefix. When it runs out inside a closing, the pairs
-    within it are checked and the first one past it is the last node
-    counted. Requires delta >= 0. delta is decomposed once, for the bound
-    and for every witness's tag.
+    egyptian.exact_closings lists the class and counts its nodes. Each
+    member head + (a, b) takes head's sum num/den one walk step at a time,
+    through a and then b, and its lcm from head's. A member whose lcm the
+    modulus divides (all of them when q is canonical) also goes through
+    lcm_square_check's core, which re-verifies its class membership without
+    Fractions, on that sum over the member's product. Tuples whose lcm
+    equals the bound become equality witnesses. Requires delta >= 0. delta
+    is decomposed once, for the bound and for every witness's tag.
     """
     as_int(k, "k")
     as_int(budget, "budget")
@@ -178,25 +171,11 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     maximizers: list[tuple[int, ...]] = []
     max_lcm = 0
     count = 0
-    nodes = 0
     # a negative target (delta > k) leaves the root above it: no children
-    for prefix, slots, side, num, den in walk(k, target, target):
-        nodes += 1
-        if nodes > budget:
-            break
-        if slots == 2 and side < 0:
-            # one node per pair; the first pair past the budget is not checked
-            tails = close_pairs(prefix, side, den, target)[:budget - nodes + 1]
-            nodes += len(tails)
-            if nodes > budget:
-                tails.pop()
-            if tails:
-                head = tuple(prefix)
-                head_lcm = math.lcm(*prefix)
-        elif slots or side:
+    for head, num, den, tails, nodes in exact_closings(target, k, budget):
+        if not tails:
             continue
-        else:  # k = 1: the root's child is the one member, and no pair closes it
-            head, tails = (), [tuple(prefix)]
+        head_lcm = math.lcm(*head)
         count += len(tails)
         for tail in tails:
             t = head + tail
@@ -205,9 +184,9 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
                 lcm_value = math.lcm(head_lcm, a, b)
                 product = den * a * b
                 total = num * a * b + den * (a + b)
-            else:
-                lcm_value = product = den
-                total = num
+            else:  # k = 1: the one member, a tail under ()
+                lcm_value = product = tail[0]
+                total = 1
             if lcm_value > floor_bound:
                 report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
             if lcm_value % q == 0 and not _square_check(t, q, lcm_value, total, product):
@@ -220,8 +199,6 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
                 maximizers.append(t)
             if integral and lcm_value == floor_bound:
                 report.equality_witnesses.append(_witness(t, delta, d))
-        if nodes > budget:
-            break
     report.details = {
         "class_size": count,
         "max_lcm": max_lcm if count else None,

@@ -17,6 +17,7 @@ from egyfrac.egyptian import (
     as_tuple,
     enumerate_deficiency,
     enumerate_exact,
+    exact_closings,
     greedy,
     iter_exact,
     position_range,
@@ -28,7 +29,7 @@ from egyfrac.egyptian import (
 )
 from egyfrac.oracle import max_lcm_search
 from egyfrac.rationals import floor_frac
-from egyfrac.sylvester import sylvester_term, sylvester_u
+from egyfrac.sylvester import MAX_BITS, sylvester_term, sylvester_u
 
 
 def test_as_tuple_validates():
@@ -135,6 +136,19 @@ def test_greedy_refuses_x_past_the_term_ceiling(monkeypatch):
         greedy(10**30)
 
 
+def test_greedy_refuses_a_remainder_past_the_bit_ceiling():
+    # a step at most squares the remainder's denominator, and these two pass
+    # MAX_BITS within about 20 terms: each is refused before the step that
+    # could. Without the ceiling the first ends in seconds, its last term
+    # about 10^7 bits long, and the second does not end, so it comes last
+    for x in ("17605994435776624894214725/6850064826623699087972396",
+              "339403663113621708131272/371270883134136055136355"):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"passes the {MAX_BITS}-bit ceiling after"):
+            greedy(Fraction(x))
+        assert time.perf_counter() - started < 2
+
+
 def test_greedy_contract_random():
     """Sum reconstructs exactly, tuple is nondecreasing, and the term count
     obeys floor(x) plus the reduced numerator of the fractional part."""
@@ -214,6 +228,23 @@ def test_split_expand_property(t, data):
     assert len(s) == len(t) + 1
     assert tuple_sum(s) == tuple_sum(t)
     assert as_tuple(s) == s
+
+
+def test_exact_closings_frozen_yields():
+    # the class of 1 in three terms: the root, (1) on the target, then (2)
+    # and (3), each closed by its pairs, and the total last
+    assert list(exact_closings(Fraction(1), 3, 100)) == [
+        ((2,), 1, 2, [(3, 6), (4, 4)], 5),
+        ((3,), 1, 3, [(3, 3)], 7),
+        ((), 0, 1, [], 7),
+    ]
+    # in the class of 1 in four terms (2, 3) is node 5: a budget of 7
+    # keeps the first two of its five pairs and counts the third
+    assert list(exact_closings(Fraction(1), 4, 7)) == [((2, 3), 5, 6, [(7, 42), (8, 24)], 8)]
+    # k = 1: the root's leaf is the member, a tail under (), and costs
+    # only its own walk node
+    assert list(exact_closings(Fraction(1, 2), 1, 5)) == [((), 0, 1, [(2,)], 2), ((), 0, 1, [], 2)]
+    assert list(exact_closings(Fraction(1, 2), 1, 1)) == [((), 0, 1, [], 2)]
 
 
 def test_enumerate_frozen_examples():

@@ -22,11 +22,12 @@ from egyfrac.bounds import (
 )
 from egyfrac.egyptian import (
     as_tuple,
-    close_pairs,
     enumerate_exact,
+    exact_closings,
     position_range,
     tuple_lcm,
     tuple_sum,
+    two_term_pairs,
     walk,
 )
 from egyfrac.oracle import (
@@ -279,12 +280,15 @@ def _closed_walk(k: int, low: F, cap: F):
     """walk's yields with each exact closing expanded back into leaves:
     a prefix below an exact target with two slots left is followed by one
     (prefix + pair, 0, 0, low's numerator, low's denominator) per pair that
-    close_pairs returns, as walk yielded its closed pairs before its
-    consumers took them over."""
+    two_term_pairs gives for the reduced remainder, as walk yielded its
+    closed pairs before its consumers took them over."""
+    b = low.denominator
     for prefix, slots, side, num, den in walk(k, low, cap):
         yield prefix, slots, side, num, den
         if low == cap and slots == 2 and side < 0:
-            for pair in close_pairs(prefix, side, den, low):
+            g = math.gcd(side, b * den)
+            prev = prefix[-1] if prefix else 1
+            for pair in two_term_pairs(prev, -side // g, b * den // g):
                 yield prefix + list(pair), 0, 0, low.numerator, low.denominator
 
 
@@ -333,6 +337,32 @@ def test_max_lcm_budget_cuts_through_a_closing():
     assert report.details["class_size"] == 2
     assert report.details["maximizers"] == [(2, 3, 7, 42)]
     assert (8, 2, [(2, 3, 7, 42)], True) == _walk_under_budget(4, F(3), 7)
+
+
+@pytest.mark.parametrize("k,delta,q", [
+    (4, F(2), 1), (5, F(5, 2), 2), (4, F(3), 1), (1, F(1, 2), 2), (1, F(1, 3), 3),
+])
+def test_enumerate_and_max_lcm_share_one_budget_policy(k, delta, q):
+    # both take the class from exact_closings, so at every budget up to one
+    # past the cell's node count they fit it or run out of it together;
+    # (1, 1/2, 2) has one member and (1, 1/3, 3) none
+    target = k - delta
+    closed = _yields(_closed_walk(k, target, target))
+    members = [t for t, slots, side, _, _ in closed if not slots and not side]
+    for budget in range(1, len(closed) + 2):
+        report = max_lcm_search(k, delta, q, budget=budget)
+        if report.budget_exceeded:
+            with pytest.raises(ValueError, match=f"budget of {budget} nodes after"):
+                enumerate_exact(target, k, budget)
+        else:
+            listed = enumerate_exact(target, k, budget)
+            assert listed == members, budget
+            assert len(listed) == report.details["class_size"]
+            lcms = [math.lcm(*t) for t in listed]
+            top = max(lcms, default=None)
+            assert [t for t, v in zip(listed, lcms) if v == top] == report.details["maximizers"]
+        *_, last = exact_closings(target, k, budget)
+        assert last[-1] == min(len(closed), budget + 1) == report.stats.nodes, budget
 
 
 def _reference_square_check(t, q: int) -> bool:

@@ -125,6 +125,9 @@ MUTANTS = [
     Mutant("greedy-drops-ones", EGYPTIAN,
            "out = [1] * ones", "out = []",
            (T_EGYPTIAN + "test_greedy_frozen_examples",)),
+    Mutant("greedy-bit-ceiling-dropped", EGYPTIAN,
+           "        if 2 * den.bit_length() > MAX_BITS:\n", "        if False:\n",
+           (T_EGYPTIAN + "test_greedy_refuses_a_remainder_past_the_bit_ceiling",)),
     # budgets
     Mutant("window-budget-off-by-one", ORACLE,
            "        if nodes > budget:\n            break\n        if side < 0:",
@@ -170,19 +173,31 @@ MUTANTS = [
            "product = den * a * b", "product = a * b",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("head-lcm-drops-first-entry", ORACLE,
-           "head_lcm = math.lcm(*prefix)", "head_lcm = math.lcm(*prefix[1:])",
+           "head_lcm = math.lcm(*head)", "head_lcm = math.lcm(*head[1:])",
            (T_ORACLE + "test_report_json_is_pinned[lcm-ties-head]",)),
     Mutant("member-sum-off", ORACLE,
            "total = num * a * b + den * (a + b)", "total = num * a * b + den * (a + b) + 1",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
-    Mutant("closing-budget-cut-off-by-one", ORACLE,
+    # the one exact-class core under both consumers: its budget and its
+    # k = 1 member
+    Mutant("closing-budget-cut-off-by-one", EGYPTIAN,
            "[:budget - nodes + 1]", "[:budget - nodes + 2]",
-           (T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
+           (T_EGYPTIAN + "test_exact_closings_frozen_yields",
+            T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
+            T_ORACLE + "test_max_lcm_budget_counts_walker_nodes",
+            T_ORACLE + "test_enumerate_and_max_lcm_share_one_budget_policy")),
+    Mutant("closing-budget-pair-past-checked", EGYPTIAN,
+           "num, den, tails[:-1], nodes", "num, den, tails, nodes",
+           (T_EGYPTIAN + "test_exact_closings_frozen_yields",
+            T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
             T_ORACLE + "test_max_lcm_budget_counts_walker_nodes")),
-    Mutant("closing-budget-pair-past-checked", ORACLE,
-           "            if nodes > budget:\n                tails.pop()\n", "",
-           (T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
-            T_ORACLE + "test_max_lcm_budget_counts_walker_nodes")),
+    Mutant("exact-k1-member-charged-a-node", EGYPTIAN,
+           "            yield (), 0, 1, [tuple(prefix)], nodes\n",
+           "            nodes += 1\n            yield (), 0, 1, [tuple(prefix)], nodes\n",
+           (T_EGYPTIAN + "test_exact_closings_frozen_yields",
+            T_ORACLE + "test_report_json_is_pinned[readme-sweep]",
+            T_ORACLE + "test_enumerate_and_max_lcm_share_one_budget_policy",
+            T_CLI + "test_readme_cli_examples")),
     # the walker and its two-slot closing
     Mutant("walk-level-pop", EGYPTIAN,
            "            stack.pop()\n            prefix.pop()\n",
@@ -259,11 +274,12 @@ MUTANTS = [
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_walk_matches_the_recursive_walk")),
     Mutant("iter-exact-drops-closings", EGYPTIAN,
-           "            for pair in pairs:\n"
-           "                yield head + pair\n",
-           "            pass\n",
+           "        for tail in tails:\n"
+           "            yield head + tail\n",
+           "        pass\n",
            (T_EGYPTIAN + "test_enumerate_frozen_examples",
-            T_EGYPTIAN + "test_iter_exact_matches_brute_force")),
+            T_EGYPTIAN + "test_iter_exact_matches_brute_force",
+            T_ORACLE + "test_max_lcm_walker_matches_reference")),
     Mutant("two-term-prev-bound-dropped", EGYPTIAN,
            "if x >= least and x % p == residue", "if x % p == residue",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
