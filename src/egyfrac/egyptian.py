@@ -161,8 +161,9 @@ def _prime_factors(n: int) -> dict[int, int]:
 SCAN_LIMIT = 256
 
 
-def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
-    """Every pair prev <= a <= b with 1/a + 1/b == p/q, in increasing a.
+def two_term_pairs(prev: int, p: int, q: int, limit: int | None = None) -> list[tuple[int, int]]:
+    """The pairs prev <= a <= b with 1/a + 1/b == p/q, in increasing a:
+    every one, or only the first `limit` >= 0.
 
     p/q > 0 must be reduced. Then q/p < a <= 2q/p, and the equation is
     (pa - q)(pb - q) = q^2, so a pair is a divisor x = pa - q <= q of q^2
@@ -171,6 +172,14 @@ def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
     from max(prev, q//p + 1) to 2q//p number at most SCAN_LIMIT, their
     x = pa - q are scanned directly, one test x | q^2 each. More are
     closed from the divisors of q^2 that factoring q gives.
+
+    Factored, q^2 has (d(q^2) + 1)/2 divisors up to q. When `limit` is
+    smaller, the divisors are built only up to a threshold: it starts at
+    64 * max(prev * p - q, 1), from the least x kept, and grows 64-fold
+    until `limit` pairs lie below it or it reaches q. So a few pairs asked
+    of a q whose square has millions of divisors build only the divisors
+    below the first threshold past the last pair asked for. The trial
+    division that factors q has no such bound.
 
     >>> two_term_pairs(1, 1, 2)
     [(3, 6), (4, 4)]
@@ -183,17 +192,23 @@ def two_term_pairs(prev: int, p: int, q: int) -> list[tuple[int, int]]:
             ((x + q) // p, (square // x + q) // p)
             for x in range(p * lo - q, p * hi - q + 1, p)
             if square % x == 0
-        ]
-    divisors = [1]  # the divisors of q^2 up to q, unsorted
-    for prime, e in _prime_factors(q).items():
-        # each power w of prime, with the largest divisor it may multiply
-        powers = [(w, q // w) for w in (prime**i for i in range(2 * e + 1))]
-        divisors = [d * w for w, most in powers for d in divisors if d <= most]
+        ][:limit]
+    factors = _prime_factors(q).items()
     residue, least = -q % p, prev * p - q
-    return [
-        ((x + q) // p, (square // x + q) // p)
-        for x in sorted([x for x in divisors if x >= least and x % p == residue])
-    ]
+    top = q  # the largest divisor built
+    if limit is not None and (math.prod(2 * e + 1 for _, e in factors) + 1) // 2 > limit:
+        top = min(q, 64 * max(least, 1))
+    while True:
+        divisors = [1]  # the divisors of q^2 up to top, unsorted
+        for prime, e in factors:
+            # each power w of prime, with the largest divisor it may multiply
+            powers = [(w, top // w) for w in (prime**i for i in range(2 * e + 1))]
+            divisors = [d * w for w, most in powers for d in divisors if d <= most]
+        kept = sorted([x for x in divisors if x >= least and x % p == residue])
+        if top == q or len(kept) >= limit:
+            break
+        top = min(q, 64 * top)
+    return [((x + q) // p, (square // x + q) // p) for x in kept[:limit]]
 
 
 def walk(k: int, low, cap) -> Iterator[tuple[list[int], int, int, int, int]]:
@@ -299,10 +314,13 @@ def exact_closings(x, k: int, budget: int) -> Iterator[tuple[EgyptianTuple, int,
     tails and the total, or, past the budget, budget + 1 and only the pairs
     that fit.
 
-    two_term_pairs factors the remainder's denominator q only when more
-    than SCAN_LIMIT candidates remain. That trial division takes up to
-    about sqrt(q)/2 steps, and no node budget bounds it: a remainder whose
-    denominator has a large prime factor stalls a single closing.
+    A closing asks two_term_pairs for no more pairs than the budget has
+    left, plus the one that exceeds it, so the budget bounds the pairs a
+    closing builds. It does not bound the factoring: two_term_pairs
+    factors the remainder's denominator q when more than SCAN_LIMIT
+    candidates remain, by trial division of up to about sqrt(q)/2 steps,
+    so a remainder whose denominator has a large prime factor stalls a
+    single closing.
     """
     b = x.denominator
     nodes = 0
@@ -314,7 +332,7 @@ def exact_closings(x, k: int, budget: int) -> Iterator[tuple[EgyptianTuple, int,
             g = math.gcd(side, b * den)
             prev = prefix[-1] if prefix else 1
             # one node per pair; the first pair past the budget is counted
-            tails = two_term_pairs(prev, -side // g, b * den // g)[:budget - nodes + 1]
+            tails = two_term_pairs(prev, -side // g, b * den // g, budget - nodes + 1)
             nodes += len(tails)
             if nodes > budget:
                 yield tuple(prefix), num, den, tails[:-1], nodes

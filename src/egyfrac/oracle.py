@@ -135,13 +135,17 @@ def _square_check(t, q: int, lcm_value: int, num: int, product: int) -> bool:
     Both preconditions are still checked; t is read only for the error
     message."""
     if q * num % product:
-        shortfall = len(t) - Fraction(num, product)
-        raise ValueError(
-            f"tuple is not in a deficiency class mod q={q}: shortfall {shortfall}"
-        )
+        raise _outside_class(t, q, num, product)
     if lcm_value % q:
         raise ValueError(f"q={q} does not divide the tuple lcm {lcm_value}")
     return lcm_value * lcm_value <= q * product
+
+
+def _outside_class(t, q: int, num: int, product: int) -> ValueError:
+    """The error for a tuple t, of sum num/product, whose shortfall is not
+    in (1/q)Z."""
+    shortfall = len(t) - Fraction(num, product)
+    return ValueError(f"tuple is not in a deficiency class mod q={q}: shortfall {shortfall}")
 
 
 def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> VerificationReport:
@@ -149,13 +153,17 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     maximum lcm with all its attainers, and compare against lcm_bound.
 
     egyptian.exact_closings lists the class and counts its nodes. Each
-    member head + (a, b) takes head's sum num/den one walk step at a time,
-    through a and then b, and its lcm from head's. A member whose lcm the
-    modulus divides (all of them when q is canonical) also goes through
-    lcm_square_check's core, which re-verifies its class membership without
-    Fractions, on that sum over the member's product. Tuples whose lcm
-    equals the bound become equality witnesses. Requires delta >= 0. delta
-    is decomposed once, for the bound and for every witness's tag.
+    member head + (a, b) takes its lcm from head's, and its sum from
+    head's sum num/den one walk step at a time, through a and then b. A
+    member whose lcm the modulus divides (all of them when q is canonical)
+    also takes lcm_square_check's two tests, in integers on that sum over
+    the member's product: its class membership, whose failure raises
+    lcm_square_check's error, and the square inequality. The tuple itself
+    is built only for a member that is recorded: a counterexample, a
+    maximizer, or an equality witness, whose lcm equals the bound. The one
+    member of a class of k = 1 goes through lcm_square_check's core.
+    Requires delta >= 0. delta is decomposed once, for the bound and for
+    every witness's tag.
     """
     as_int(k, "k")
     as_int(budget, "budget")
@@ -171,34 +179,50 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     maximizers: list[tuple[int, ...]] = []
     max_lcm = 0
     count = 0
+
+    def record(t: tuple[int, ...], lcm_value: int, square_holds: bool) -> None:
+        nonlocal max_lcm, maximizers
+        if lcm_value > floor_bound:
+            report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
+        if not square_holds:
+            report.counterexamples.append(
+                Counterexample("lcm square inequality violated", t, delta, q)
+            )
+        if lcm_value > max_lcm:
+            max_lcm, maximizers = lcm_value, [t]
+        elif lcm_value == max_lcm:
+            maximizers.append(t)
+        if integral and lcm_value == floor_bound:
+            report.equality_witnesses.append(_witness(t, delta, d))
+
     # a negative target (delta > k) leaves the root above it: no children
     for head, num, den, tails, nodes in exact_closings(target, k, budget):
         if not tails:
             continue
-        head_lcm = math.lcm(*head)
         count += len(tails)
-        for tail in tails:
-            t = head + tail
-            if k > 1:
-                a, b = tail
-                lcm_value = math.lcm(head_lcm, a, b)
-                product = den * a * b
-                total = num * a * b + den * (a + b)
-            else:  # k = 1: the one member, a tail under ()
-                lcm_value = product = tail[0]
-                total = 1
-            if lcm_value > floor_bound:
-                report.counterexamples.append(Counterexample("lcm above bound", t, delta, q))
-            if lcm_value % q == 0 and not _square_check(t, q, lcm_value, total, product):
-                report.counterexamples.append(
-                    Counterexample("lcm square inequality violated", t, delta, q)
-                )
-            if lcm_value > max_lcm:
-                max_lcm, maximizers = lcm_value, [t]
-            elif lcm_value == max_lcm:
-                maximizers.append(t)
-            if integral and lcm_value == floor_bound:
-                report.equality_witnesses.append(_witness(t, delta, d))
+        if k == 1:  # the one member (m,), a tail under (): lcm and product m, sum 1/m
+            (t,) = tails
+            (m,) = t
+            record(t, m, m % q != 0 or _square_check(t, q, m, 1, m))
+            continue
+        head_lcm = math.lcm(*head)
+        q_num, q_den = q * num, q * den
+        for a, b in tails:
+            lcm_value = math.lcm(head_lcm, a, b)
+            if lcm_value % q == 0:
+                # the member's product is den * ab, and q times its sum is
+                # q_total over that product
+                ab = a * b
+                q_total = q_num * ab + q_den * (a + b)
+                if q_total % (den * ab):
+                    raise _outside_class(head + (a, b), q, q_total // q, den * ab)
+                if lcm_value * lcm_value > q_den * ab:
+                    record(head + (a, b), lcm_value, False)
+                    continue
+            # a member below the running maximum and the bound's floor
+            # changes nothing
+            if lcm_value >= max_lcm or lcm_value >= floor_bound:
+                record(head + (a, b), lcm_value, True)
     report.details = {
         "class_size": count,
         "max_lcm": max_lcm if count else None,

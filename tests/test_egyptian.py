@@ -6,6 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,6 +148,14 @@ def test_greedy_refuses_a_remainder_past_the_bit_ceiling():
         with pytest.raises(ValueError, match=f"passes the {MAX_BITS}-bit ceiling after"):
             greedy(Fraction(x))
         assert time.perf_counter() - started < 2
+    # the ceiling itself: a remainder denominator of MAX_BITS // 2 bits,
+    # which a step could square to MAX_BITS, passes, and one bit more is
+    # refused
+    den = 2 ** (MAX_BITS // 2 - 1)
+    assert greedy(1 + Fraction(1, den)) == (1, den)
+    with pytest.raises(ValueError, match=f"after 1 terms: its denominator has "
+                                         f"{MAX_BITS // 2 + 1} bits$"):
+        greedy(1 + Fraction(1, 2 * den))
 
 
 def test_greedy_contract_random():
@@ -493,6 +502,57 @@ def test_two_term_pairs_match_the_divisor_method(p, q, prev):
     x = Fraction(p, q)
     p, q = x.numerator, x.denominator
     assert two_term_pairs(prev, p, q) == _reference_two_term_pairs(prev, p, q)
+
+
+# small reduced p/q at every prev up to past 2q/p, scanned or, with
+# SCAN_LIMIT patched to 0, closed by divisors; past q = 64 with prev small,
+# the divisor branch grows its threshold once
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(1, 6), q=st.integers(1, 150), scan=st.booleans())
+@example(p=1, q=144, scan=False)
+@example(p=1, q=144, scan=True)
+def test_two_term_pairs_limit_keeps_the_first_pairs(p, q, scan):
+    x = Fraction(p, q)
+    p, q = x.numerator, x.denominator
+    with mock.patch.object(egyptian, "SCAN_LIMIT", SCAN_LIMIT if scan else 0):
+        for prev in range(1, 2 * q // p + 2):
+            full = two_term_pairs(prev, p, q)
+            for limit in range(1, len(full) + 1):
+                assert two_term_pairs(prev, p, q, limit) == full[:limit], (prev, limit)
+
+
+@pytest.mark.parametrize("p,q,prev", [
+    (1, 720720, 1),  # thresholds 64, 64^2 and 64^3 lie below q
+    (1, 720720, 730000),  # prev lifts the first threshold to 64 * 9280, below q
+    (1, 720720, 900000),  # and here to 64 * 179280, past q: one round
+    (11, 2**6 * 3**4 * 5**2 * 7**2, 1),  # p > 1: only x = -q (mod p) count
+])
+def test_two_term_pairs_limit_through_each_threshold(p, q, prev):
+    # each limit at, just below and just past the pairs whose divisor
+    # x = pa - q lies under a threshold, and the full count
+    full = two_term_pairs(prev, p, q)
+    top = 64 * max(prev * p - q, 1)
+    limits = {1, len(full)}
+    while top < q:
+        under = sum(p * a - q <= top for a, _ in full)
+        limits |= {under - 1, under, under + 1}
+        top *= 64
+    for limit in sorted(n for n in limits if 1 <= n <= len(full)):
+        assert two_term_pairs(prev, p, q, limit) == full[:limit], limit
+
+
+def test_two_term_pairs_limit_bounds_the_divisors_kept(monkeypatch):
+    # q, the product of the first 11 primes, gives q^2 3^11 divisors, 88,574
+    # of them up to q, each a pair for p = 1. Asked for 3 pairs,
+    # two_term_pairs keeps only the divisors up to its first threshold, 64
+    q = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    kept = []
+    monkeypatch.setattr(egyptian, "sorted", lambda xs: kept.append(len(xs)) or sorted(xs),
+                        raising=False)
+    assert two_term_pairs(1, 1, q, 3) == [(q + x, q * q // x + q) for x in (1, 2, 3)]
+    assert kept == [sum(q * q % x == 0 for x in range(1, 65))]
+    kept.clear()
+    assert len(two_term_pairs(1, 1, q)) == (3**11 + 1) // 2 == kept[0]
 
 
 def test_enumerate_deficiency():

@@ -616,6 +616,19 @@ def test_max_lcm_walker_matches_reference_on_counterexamples(k, delta, q, monkey
     _assert_lcm_matches_reference(k, delta, q)
 
 
+@pytest.mark.parametrize("k,delta,q,bound", [(3, F(2), 1, 4), (4, F(5, 2), 2, 12)])
+def test_max_lcm_witness_below_the_running_maximum(k, delta, q, bound, monkeypatch):
+    # a bound at the lcm of a later member: an earlier member above it is a
+    # counterexample and sets the maximum, and each member at the bound after
+    # it is still a witness
+    monkeypatch.setattr(oracle, "_lcm_bound", lambda d: F(bound))
+    report = max_lcm_search(k, delta, q)
+    assert report.details["max_lcm"] > bound
+    assert report.counterexamples[0].values == report.details["maximizers"][0]
+    assert report.equality_witnesses
+    _assert_lcm_matches_reference(k, delta, q)
+
+
 @pytest.mark.parametrize("shift", [F(1, 2), F(-1, 2)])
 @pytest.mark.parametrize("k,delta,q", [(3, F(2), 1), (5, F(5, 2), 2)])
 def test_max_lcm_bound_between_integers(k, delta, q, shift, monkeypatch):
@@ -641,10 +654,14 @@ def test_max_lcm_bound_never_beaten_small_grid():
 
 
 def test_max_lcm_reports_each_square_violation(monkeypatch):
-    # a square check that always fails makes every member of (3, 2, 1) a
-    # counterexample, in class order
-    monkeypatch.setattr(oracle, "_square_check", lambda *args: False)
+    # lcms six times too large break the square inequality on every member
+    # of (3, 2, 1), and a bound raised past them leaves it the only failure:
+    # each member is a counterexample once, in class order
+    real_lcm = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *t: 6 * real_lcm(*t))
+    monkeypatch.setattr(oracle, "_lcm_bound", lambda d: F(10**6))
     report = max_lcm_search(3, 2, 1)
+    monkeypatch.undo()
     assert not report.passed
     assert report.counterexamples == [
         Counterexample("lcm square inequality violated", t, F(2), 1)
@@ -652,6 +669,17 @@ def test_max_lcm_reports_each_square_violation(monkeypatch):
     ]
     assert report.stats.nodes == 7
     assert report.details["class_size"] == 3
+
+
+def test_max_lcm_reports_the_square_violation_of_one_term(monkeypatch):
+    # a class of one term has one member, which goes through the square
+    # check's core; a check that fails reports it
+    monkeypatch.setattr(oracle, "_square_check", lambda *args: False)
+    report = max_lcm_search(1, F(1, 2), 2)
+    assert report.counterexamples == [
+        Counterexample("lcm square inequality violated", (2,), F(1, 2), 2)
+    ]
+    assert report.details["class_size"] == 1
 
 
 def test_max_lcm_rejects_negative_delta():
@@ -858,6 +886,9 @@ def test_sweep_rejects_bad_config():
         sweep(k_max=-1, deltas=())
     with pytest.raises(ValueError):
         sweep(k_max=2, deltas=(F(-3, 2),))
+    # refused by sweep itself, though no search runs on an empty grid
+    with pytest.raises(ValueError, match="^delta must be >= -1, got -3/2$"):
+        sweep(k_max=0, deltas=(F(-3, 2),))
     with pytest.raises(ValueError):
         sweep(k_max=2, deltas=(F(0),), q_mode="weird")
     with pytest.raises(ValueError):
@@ -866,6 +897,8 @@ def test_sweep_rejects_bad_config():
         sweep(k_max=3, deltas=(), q_mode="weird")
     with pytest.raises(ValueError, match="^malformed q mode: 'all-upto:x'$"):
         sweep(k_max=3, deltas=(), q_mode="all-upto:x")
+    with pytest.raises(ValueError, match="^malformed q mode: 'all-upto:3:4'$"):
+        sweep(k_max=1, deltas=(1,), q_mode="all-upto:3:4")
     with pytest.raises(ValueError):
         sweep(k_max=2, deltas=(F(1), F(1, 2)), q_mode="all-upto:1")
     with pytest.raises(ValueError):
@@ -882,6 +915,23 @@ def test_sweep_reports_witnesses_off_the_extremal_tuple(monkeypatch):
     assert report.counterexamples == [
         Counterexample("gap equality witnesses [(2, 3, 7)] do not match "
                        "extremal construction [(2, 3, 8)]", (2, 3, 7), F(2), 1),
+    ]
+
+
+@pytest.mark.parametrize("k,construction,shown", [
+    (1, (5, 6), (5, 6)),  # no witness: the construction is the tuple shown
+    (3, None, (2, 3, 7)),  # no construction: the first witness is shown
+])
+def test_sweep_shows_a_tuple_of_each_mismatch(k, construction, shown, monkeypatch):
+    real = oracle.extremal_gap_tuple
+    monkeypatch.setattr(oracle, "extremal_gap_tuple",
+                        lambda k_, delta, q: construction if k_ == k else real(k_, delta, q))
+    report = sweep(k_max=k, deltas=(F(2),))
+    found = [(2, 3, 7)] if k == 3 else []
+    wanted = [] if construction is None else [construction]
+    assert report.counterexamples == [
+        Counterexample(f"gap equality witnesses {found} do not match "
+                       f"extremal construction {wanted}", shown, F(2), 1),
     ]
 
 

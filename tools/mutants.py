@@ -128,6 +128,26 @@ MUTANTS = [
     Mutant("greedy-bit-ceiling-dropped", EGYPTIAN,
            "        if 2 * den.bit_length() > MAX_BITS:\n", "        if False:\n",
            (T_EGYPTIAN + "test_greedy_refuses_a_remainder_past_the_bit_ceiling",)),
+    # where the ceiling sits, and sweep's own refusals and mismatch tuple:
+    # operator mutants that an automatic sweep found surviving
+    Mutant("greedy-bit-ceiling-tripled", EGYPTIAN,
+           "if 2 * den.bit_length() > MAX_BITS:", "if 3 * den.bit_length() > MAX_BITS:",
+           (T_EGYPTIAN + "test_greedy_refuses_a_remainder_past_the_bit_ceiling",)),
+    Mutant("greedy-bit-ceiling-halved", EGYPTIAN,
+           "if 2 * den.bit_length() > MAX_BITS:", "if 1 * den.bit_length() > MAX_BITS:",
+           (T_EGYPTIAN + "test_greedy_refuses_a_remainder_past_the_bit_ceiling",)),
+    Mutant("greedy-bit-ceiling-inclusive", EGYPTIAN,
+           "if 2 * den.bit_length() > MAX_BITS:", "if 2 * den.bit_length() >= MAX_BITS:",
+           (T_EGYPTIAN + "test_greedy_refuses_a_remainder_past_the_bit_ceiling",)),
+    Mutant("q-mode-reads-one-field-of-many", ORACLE,
+           'q_mode.split(":", 1)[1]', 'q_mode.split(":", 2)[1]',
+           (T_ORACLE + "test_sweep_rejects_bad_config",)),
+    Mutant("sweep-delta-floor-lowered", ORACLE,
+           'as_rational(d, "delta", -1) for d in deltas', 'as_rational(d, "delta", -2) for d in deltas',
+           (T_ORACLE + "test_sweep_rejects_bad_config",)),
+    Mutant("sweep-mismatch-hides-the-construction", ORACLE,
+           "(expected or ())", "(expected and ())",
+           (T_ORACLE + "test_sweep_shows_a_tuple_of_each_mismatch",)),
     # budgets
     Mutant("window-budget-off-by-one", ORACLE,
            "        if nodes > budget:\n            break\n        if side < 0:",
@@ -152,9 +172,14 @@ MUTANTS = [
            (T_ORACLE + "test_report_json_is_pinned[lcm-ties]",
             T_ORACLE + "test_report_json_is_pinned[lcm-ties-3]")),
     Mutant("square-violation-dropped", ORACLE,
-           "if lcm_value % q == 0 and not _square_check(",
-           "if False and not _square_check(",
+           "if lcm_value * lcm_value > q_den * ab:", "if False:",
            (T_ORACLE + "test_max_lcm_reports_each_square_violation",)),
+    Mutant("one-term-square-violation-dropped", ORACLE,
+           "record(t, m, m % q != 0 or _square_check(t, q, m, 1, m))", "record(t, m, True)",
+           (T_ORACLE + "test_max_lcm_reports_the_square_violation_of_one_term",)),
+    Mutant("witness-only-at-new-max", ORACLE,
+           "if lcm_value >= max_lcm or lcm_value >= floor_bound:", "if lcm_value >= max_lcm:",
+           (T_ORACLE + "test_max_lcm_witness_below_the_running_maximum",)),
     Mutant("square-check-divisibility-first", ORACLE,
            "    if q * num % product:\n",
            "    if lcm_value % q:\n"
@@ -165,23 +190,30 @@ MUTANTS = [
            "    if q * num % product:", "    if num % product:",
            (T_ORACLE + "test_lcm_square_check",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
-    # the search's members, each extended from the prefix it closes
+    # the search's members, each extended from the prefix it closes, and
+    # each one's membership test, inline
     Mutant("member-sum-drops-head", ORACLE,
-           "total = num * a * b + den * (a + b)", "total = den * (a + b)",
+           "q_total = q_num * ab + q_den * (a + b)", "q_total = q_den * (a + b)",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     Mutant("head-product-dropped", ORACLE,
-           "product = den * a * b", "product = a * b",
+           "> q_den * ab:", "> q * ab:",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
+    Mutant("member-membership-without-q", ORACLE,
+           "if q_total % (den * ab):", "if q_total // q % (den * ab):",
+           (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
+    Mutant("member-membership-dropped", ORACLE,
+           "if q_total % (den * ab):", "if False:",
+           (T_ORACLE + "test_max_lcm_search_checks_membership_of_each_closed_pair",)),
     Mutant("head-lcm-drops-first-entry", ORACLE,
            "head_lcm = math.lcm(*head)", "head_lcm = math.lcm(*head[1:])",
            (T_ORACLE + "test_report_json_is_pinned[lcm-ties-head]",)),
     Mutant("member-sum-off", ORACLE,
-           "total = num * a * b + den * (a + b)", "total = num * a * b + den * (a + b) + 1",
+           "q_total = q_num * ab + q_den * (a + b)", "q_total = q_num * ab + q_den * (a + b) + 1",
            (T_ORACLE + "test_max_lcm_walker_matches_reference",)),
     # the one exact-class core under both consumers: its budget and its
     # k = 1 member
     Mutant("closing-budget-cut-off-by-one", EGYPTIAN,
-           "[:budget - nodes + 1]", "[:budget - nodes + 2]",
+           "budget - nodes + 1)", "budget - nodes + 2)",
            (T_EGYPTIAN + "test_exact_closings_frozen_yields",
             T_ORACLE + "test_max_lcm_budget_cuts_through_a_closing",
             T_ORACLE + "test_max_lcm_budget_counts_walker_nodes",
@@ -289,10 +321,23 @@ MUTANTS = [
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
     Mutant("two-term-kept-divisors-unsorted", EGYPTIAN,
-           "for x in sorted([x for x in divisors if x >= least and x % p == residue])",
-           "for x in [x for x in divisors if x >= least and x % p == residue]",
+           "kept = sorted([x for x in divisors if x >= least and x % p == residue])",
+           "kept = [x for x in divisors if x >= least and x % p == residue]",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
             T_ORACLE + "test_max_lcm_walker_matches_reference")),
+    # the pair limit: the divisors of q^2 up to a threshold that grows
+    # 64-fold to q, built only when the limit is below their count
+    Mutant("pair-limit-off-by-one", EGYPTIAN,
+           "len(kept) >= limit", "len(kept) >= limit - 1",
+           (T_EGYPTIAN + "test_two_term_pairs_limit_keeps_the_first_pairs",
+            T_EGYPTIAN + "test_two_term_pairs_limit_through_each_threshold")),
+    Mutant("pair-threshold-stops-below-q", EGYPTIAN,
+           "if top == q or len(kept)", "if 64 * top > q or len(kept)",
+           (T_EGYPTIAN + "test_two_term_pairs_limit_keeps_the_first_pairs",
+            T_EGYPTIAN + "test_two_term_pairs_limit_through_each_threshold")),
+    Mutant("pair-limit-never-narrows", EGYPTIAN,
+           "if limit is not None and (", "if False and (",
+           (T_EGYPTIAN + "test_two_term_pairs_limit_bounds_the_divisors_kept",)),
     Mutant("two-term-divisors-of-q", EGYPTIAN,
            "range(2 * e + 1)", "range(e + 1)",
            (T_EGYPTIAN + "test_two_term_pairs_match_brute_force",
