@@ -117,7 +117,7 @@ def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
         return
     if args.format == "csv" or lines is None:
         sep = "," if args.format == "csv" else " "
-        lines = [sep.join(row) for row in rows]
+        lines = (sep.join(row) for row in rows)
     for line in lines:
         print(line)
 

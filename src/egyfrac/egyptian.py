@@ -184,6 +184,8 @@ def two_term_pairs(prev: int, p: int, q: int, limit: int | None = None) -> list[
     >>> two_term_pairs(1, 1, 2)
     [(3, 6), (4, 4)]
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be a nonnegative integer, got {limit!r}")
     lo = max(prev, q // p + 1)
     hi = 2 * q // p
     square = q * q

@@ -83,24 +83,15 @@ def window_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verifi
             continue  # below the floor, so below the top too
         if num * top_den >= top_num * den:
             continue  # at or past the window top; sums only grow
-        if side:
-            claim = (
-                "sum inside forbidden window"
-                if slots == 0
-                else "prefix completable into forbidden window"
-            )
-            report.counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
-        elif slots == 0:
+        if not (side or slots):  # on the floor with no slots left
             report.equality_witnesses.append(_witness(tuple(prefix), delta, d))
-        else:
-            report.counterexamples.append(
-                Counterexample(
-                    "boundary prefix completable into forbidden window",
-                    tuple(prefix),
-                    delta,
-                    q,
-                )
-            )
+            continue
+        claim = (
+            "boundary prefix completable into forbidden window" if not side
+            else "prefix completable into forbidden window" if slots
+            else "sum inside forbidden window"
+        )
+        report.counterexamples.append(Counterexample(claim, tuple(prefix), delta, q))
     return report.finish(nodes, nodes > budget)
 
 
@@ -118,7 +109,8 @@ def lcm_square_check(t, q: int) -> bool:
     Both preconditions are checked in integers, membership first. With P
     the product of the m_i and N = sum of P // m_i, the reciprocal sum is
     N/P, so the shortfall lies in (1/q)Z exactly when P divides q*N; the
-    Fraction shortfall is built only for the error message.
+    Fraction shortfall is built only for the error message. max_lcm_search
+    calls it for the one member of a k = 1 class.
 
     >>> lcm_square_check((2, 3, 6), 1)
     True
@@ -126,14 +118,8 @@ def lcm_square_check(t, q: int) -> bool:
     t = as_tuple(t)
     as_int(q, "q")
     product = math.prod(t)
-    return _square_check(t, q, math.lcm(*t), sum(product // m for m in t), product)
-
-
-def _square_check(t, q: int, lcm_value: int, num: int, product: int) -> bool:
-    """lcm_square_check without input validation: t and q must be valid,
-    lcm_value the lcm of t, product that of t and num/product t's sum.
-    Both preconditions are still checked; t is read only for the error
-    message."""
+    lcm_value = math.lcm(*t)
+    num = sum(product // m for m in t)
     if q * num % product:
         raise _outside_class(t, q, num, product)
     if lcm_value % q:
@@ -161,7 +147,7 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
     lcm_square_check's error, and the square inequality. The tuple itself
     is built only for a member that is recorded: a counterexample, a
     maximizer, or an equality witness, whose lcm equals the bound. The one
-    member of a class of k = 1 goes through lcm_square_check's core.
+    member of a class of k = 1 goes through lcm_square_check itself.
     Requires delta >= 0. delta is decomposed once, for the bound and for
     every witness's tag.
     """
@@ -200,10 +186,10 @@ def max_lcm_search(k: int, delta, q: int, budget: int = DEFAULT_BUDGET) -> Verif
         if not tails:
             continue
         count += len(tails)
-        if k == 1:  # the one member (m,), a tail under (): lcm and product m, sum 1/m
+        if k == 1:  # the one member (m,), a tail under (), of lcm m
             (t,) = tails
             (m,) = t
-            record(t, m, m % q != 0 or _square_check(t, q, m, 1, m))
+            record(t, m, m % q != 0 or lcm_square_check(t, q))
             continue
         head_lcm = math.lcm(*head)
         q_num, q_den = q * num, q * den

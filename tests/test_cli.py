@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -95,6 +96,20 @@ def test_gap_with_bound(capsys):
     code, out, _ = run(capsys, "gap", "--delta", "2", "--k", "3")
     assert code == 0
     assert out == "gap = 1/42\nsharp_sum_bound = 41/42\n"
+
+
+def test_module_runs_main_on_its_own_argv():
+    # python -m egyfrac.cli: the __main__ guard calls main(), which reads
+    # sys.argv itself
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "egyfrac.cli", "gap", "--delta", "2", "--k", "3"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "gap = 1/42\nsharp_sum_bound = 41/42\n", ""
+    )
 
 
 def test_gap_domain_errors(capsys):

@@ -541,6 +541,14 @@ def test_two_term_pairs_limit_through_each_threshold(p, q, prev):
         assert two_term_pairs(prev, p, q, limit) == full[:limit], limit
 
 
+@pytest.mark.parametrize("q", [6, 720720])  # the scan branch, the divisor branch
+def test_two_term_pairs_refuses_a_negative_limit(q):
+    with pytest.raises(ValueError, match="limit must be a nonnegative integer, got -1"):
+        two_term_pairs(1, 1, q, -1)
+    assert two_term_pairs(1, 1, q, 0) == []
+    assert two_term_pairs(1, 1, q, None) == two_term_pairs(1, 1, q)
+
+
 def test_two_term_pairs_limit_bounds_the_divisors_kept(monkeypatch):
     # q, the product of the first 11 primes, gives q^2 3^11 divisors, 88,574
     # of them up to q, each a pair for p = 1. Asked for 3 pairs,

@@ -672,9 +672,9 @@ def test_max_lcm_reports_each_square_violation(monkeypatch):
 
 
 def test_max_lcm_reports_the_square_violation_of_one_term(monkeypatch):
-    # a class of one term has one member, which goes through the square
-    # check's core; a check that fails reports it
-    monkeypatch.setattr(oracle, "_square_check", lambda *args: False)
+    # a class of one term has one member, which goes through
+    # lcm_square_check; a check that fails reports it
+    monkeypatch.setattr(oracle, "lcm_square_check", lambda *args: False)
     report = max_lcm_search(1, F(1, 2), 2)
     assert report.counterexamples == [
         Counterexample("lcm square inequality violated", (2,), F(1, 2), 2)

@@ -113,6 +113,12 @@ MUTANTS = [
            'else "prefix completable into forbidden window"',
            'else "sum inside forbidden window"',
            (T_ORACLE + "test_window_names_each_prefix_counterexample",)),
+    Mutant("window-claims-swapped", ORACLE,
+           '"boundary prefix completable into forbidden window" if not side\n'
+           '            else "prefix completable into forbidden window" if slots',
+           '"prefix completable into forbidden window" if not side\n'
+           '            else "boundary prefix completable into forbidden window" if slots',
+           (T_ORACLE + "test_window_names_each_prefix_counterexample",)),
     # the grid: each delta's q range ends at N; the ceiling on listed terms,
     # and greedy's integer part
     Mutant("all-upto-drops-last-q", ORACLE,
@@ -175,7 +181,7 @@ MUTANTS = [
            "if lcm_value * lcm_value > q_den * ab:", "if False:",
            (T_ORACLE + "test_max_lcm_reports_each_square_violation",)),
     Mutant("one-term-square-violation-dropped", ORACLE,
-           "record(t, m, m % q != 0 or _square_check(t, q, m, 1, m))", "record(t, m, True)",
+           "record(t, m, m % q != 0 or lcm_square_check(t, q))", "record(t, m, True)",
            (T_ORACLE + "test_max_lcm_reports_the_square_violation_of_one_term",)),
     Mutant("witness-only-at-new-max", ORACLE,
            "if lcm_value >= max_lcm or lcm_value >= floor_bound:", "if lcm_value >= max_lcm:",
@@ -335,6 +341,9 @@ MUTANTS = [
            "if top == q or len(kept)", "if 64 * top > q or len(kept)",
            (T_EGYPTIAN + "test_two_term_pairs_limit_keeps_the_first_pairs",
             T_EGYPTIAN + "test_two_term_pairs_limit_through_each_threshold")),
+    Mutant("pair-limit-sign-unchecked", EGYPTIAN,
+           "    if limit is not None and limit < 0:\n", "    if False:\n",
+           (T_EGYPTIAN + "test_two_term_pairs_refuses_a_negative_limit",)),
     Mutant("pair-limit-never-narrows", EGYPTIAN,
            "if limit is not None and (", "if False and (",
            (T_EGYPTIAN + "test_two_term_pairs_limit_bounds_the_divisors_kept",)),
@@ -471,8 +480,8 @@ MUTANTS = [
            (T_CLI + "test_successor_is_the_decimal_of_u_plus_1",
             T_CLI + "test_sylvester_carries_t_from_u")),
     Mutant("emit-rows-reconverted", CLI,
-           "lines = [sep.join(row) for row in rows]",
-           "lines = [sep.join(str(int(v)) for v in row) for row in rows]",
+           "lines = (sep.join(row) for row in rows)",
+           "lines = (sep.join(str(int(v)) for v in row) for row in rows)",
            (T_CLI + "test_each_printed_integer_is_converted_once",
             T_CLI + "test_sylvester_converts_each_u_once_and_no_t")),
     # plain argv is read from the parser's actions, to the same result as
