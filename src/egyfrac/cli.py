@@ -44,8 +44,8 @@ from .geometry import (
     volume,
 )
 from .oracle import DEFAULT_BUDGET, sweep
-from .rationals import RATIONAL_LITERAL, canonical_q, parse_int, parse_rational, rational_str
-from .report import report_to_dict
+from .rationals import RATIONAL_LITERAL, canonical_q, parse_int, parse_rational
+from .report import report_to_dict, wire
 from .sylvester import sylvester_u
 
 
@@ -101,10 +101,13 @@ def _coefficient(token: str) -> StandardCoefficient:
 def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
     """Print one command's output in the chosen format.
 
-    inputs and result fill the JSON envelope. rows, an iterable of rows of
-    decimal strings (those result already holds, so no integer is converted
-    twice), print comma-joined as csv and space-joined as text, unless the
-    command passes its own text lines.
+    inputs and result hold raw values and fill the JSON envelope, which
+    report.wire converts. Text prints the command's lines, an iterable of
+    strings; rows, an iterable of rows whose entries print through str,
+    print comma-joined as csv, and space-joined as text when the command
+    passes no lines. Only what a format prints is converted, and every line
+    is built before the first is printed, so a value past the interpreter's
+    digit limit fails with stdout still empty.
     """
     if args.format == "json":
         envelope = {
@@ -113,27 +116,24 @@ def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
             "result": result,
             "version": __version__,
         }
-        print(json.dumps(envelope, indent=2))
+        print(json.dumps(wire(envelope), indent=2))
         return
     if args.format == "csv" or lines is None:
         sep = "," if args.format == "csv" else " "
-        lines = (sep.join(row) for row in rows)
-    for line in lines:
+        lines = (sep.join(map(str, row)) for row in rows)
+    for line in list(lines):
         print(line)
 
 
-def _scalars(result: dict, *keys: str) -> list[str]:
-    """'key = value' text lines for the keys result holds a value for."""
-    return [f"{key} = {result[key]}" for key in keys if result.get(key) is not None]
+def _scalars(result: dict, *keys: str):
+    """'key = value' text lines, built lazily, for the keys result holds a
+    value for."""
+    return (f"{key} = {result[key]}" for key in keys if result.get(key) is not None)
 
 
 def _q(q: int | None, x: Fraction) -> int:
     """The given --q, or by default the canonical q of x."""
     return q if q is not None else canonical_q(x)
-
-
-def _tuple_strs(t) -> list[str]:
-    return [str(m) for m in t]
 
 
 def _successor(digits: str) -> str:
@@ -147,8 +147,8 @@ def _successor(digits: str) -> str:
 def cmd_greedy(args) -> int:
     t = greedy(args.x)
     # greedy is exact by construction, so its sum is x
-    result = {"denominators": _tuple_strs(t), "terms": len(t), "sum": rational_str(args.x)}
-    _emit(args, {"x": rational_str(args.x)}, result, rows=[result["denominators"]])
+    result = {"denominators": t, "terms": len(t), "sum": args.x}
+    _emit(args, {"x": args.x}, result, rows=[t])
     return 0
 
 
@@ -157,38 +157,32 @@ def cmd_split(args) -> int:
     if not 1 <= args.at <= n:
         raise ValueError(f"--at {args.at} is outside 1..{n}, the positions of {n} entries")
     t = split_expand(args.denominators, args.at - 1)  # --at is 1-based
-    inputs = {"denominators": _tuple_strs(args.denominators), "at": args.at}
-    result = {"denominators": _tuple_strs(t), "sum": rational_str(tuple_sum(t))}
-    _emit(args, inputs, result, rows=[result["denominators"]])
+    inputs = {"denominators": args.denominators, "at": args.at}
+    _emit(args, inputs, {"denominators": t, "sum": tuple_sum(t)}, rows=[t])
     return 0
 
 
 def cmd_enumerate(args) -> int:
     tuples = enumerate_exact(args.sum, args.terms)
-    inputs = {"sum": rational_str(args.sum), "terms": args.terms}
-    result = {"tuples": [_tuple_strs(t) for t in tuples], "count": len(tuples)}
-    _emit(args, inputs, result, rows=result["tuples"])
+    inputs = {"sum": args.sum, "terms": args.terms}
+    _emit(args, inputs, {"tuples": tuples, "count": len(tuples)}, rows=tuples)
     return 0
 
 
 def cmd_gap(args) -> int:
     q = _q(args.q, args.delta)
-    inputs = {"delta": rational_str(args.delta), "q": q, "k": args.k}
-    result = {
-        "delta": rational_str(args.delta),
-        "q": q,
-        "gap": rational_str(gap_amount(args.delta, q)),
-    }
+    inputs = {"delta": args.delta, "q": q, "k": args.k}
+    result = {"delta": args.delta, "q": q, "gap": gap_amount(args.delta, q)}
     if args.k is not None:
-        result["sharp_sum_bound"] = rational_str(sharp_sum_bound(args.k, args.delta, q))
+        result["sharp_sum_bound"] = sharp_sum_bound(args.k, args.delta, q)
     _emit(args, inputs, result, _scalars(result, "gap", "sharp_sum_bound"))
     return 0
 
 
 def cmd_lcm_bound(args) -> int:
     q = _q(args.q, args.delta)
-    inputs = {"delta": rational_str(args.delta), "q": q}
-    result = {**inputs, "lcm_bound": rational_str(lcm_bound(args.delta, q))}
+    inputs = {"delta": args.delta, "q": q}
+    result = {**inputs, "lcm_bound": lcm_bound(args.delta, q)}
     _emit(args, inputs, result, _scalars(result, "lcm_bound"))
     return 0
 
@@ -201,18 +195,18 @@ def cmd_extremal(args) -> int:
     else:
         t = extremal_lcm_tuple(args.k, args.delta, q)
         bound = lcm_bound(args.delta, q)
-    inputs = {"kind": args.kind, "k": args.k, "delta": rational_str(args.delta), "q": q}
-    result = {"kind": args.kind, "bound": rational_str(bound), "denominators": None}
+    inputs = {"kind": args.kind, "k": args.k, "delta": args.delta, "q": q}
+    result = {"kind": args.kind, "bound": bound, "denominators": None}
     if t is None:
         _emit(args, inputs, result, ["absent"], rows=[])
         return 0
     # each constructor asserts its tuple's sum: the sharp sum bound for gap,
     # k - delta for lcm
-    result["denominators"] = _tuple_strs(t)
-    result["sum"] = result["bound"] if args.kind == "gap" else rational_str(args.k - args.delta)
+    result["denominators"] = t
+    result["sum"] = bound if args.kind == "gap" else args.k - args.delta
     result["lcm"] = str(tuple_lcm(t))
     result["family"] = classify_equality(t, args.delta, q).tag.value
-    _emit(args, inputs, result, rows=[result["denominators"]])
+    _emit(args, inputs, result, rows=[t])
     return 0
 
 
@@ -225,9 +219,8 @@ def cmd_sylvester(args) -> int:
     if args.table:
         us = (str(sylvester_u(p, args.q)) for p in range(1, args.p + 1))
         table = [{"p": p, "u": u, "t": _successor(u)} for p, u in enumerate(us, 1)]
-        # p is converted only for text and csv: JSON carries it as a number
-        rows = ((str(row["p"]), row["u"], row["t"]) for row in table)
-        _emit(args, inputs, {"table": table}, rows=rows)
+        # a row is p, u, t: JSON carries p as a number, and text converts it
+        _emit(args, inputs, {"table": table}, rows=map(dict.values, table))
     else:
         u = str(u_val)
         result = {"u": u, "t": _successor(u)}
@@ -239,7 +232,7 @@ def cmd_oracle(args) -> int:
     report = sweep(args.k_max, args.delta_list, args.q_mode, args.budget)
     inputs = {
         "k_max": args.k_max,
-        "delta_list": [rational_str(d) for d in args.delta_list],
+        "delta_list": args.delta_list,
         "q_mode": args.q_mode,
         "budget": args.budget,
     }
@@ -254,7 +247,7 @@ def cmd_oracle(args) -> int:
         lines.append("budget_exceeded = true")
     for c in report.counterexamples:
         lines.append(f"counterexample: {c.claim} values={list(c.values)} "
-                     f"delta={rational_str(c.delta)} q={c.q}")
+                     f"delta={c.delta} q={c.q}")
     _emit(args, inputs, report_to_dict(report), lines)
     return 0 if report.passed else 2
 
@@ -266,31 +259,30 @@ def cmd_geometry(args) -> int:
     inputs = {
         "dim": args.dim,
         "coeffs": [("one" if c.is_one else f"m:{c.m}") for c in args.coeffs],
-        "t": rational_str(args.t) if args.t is not None else None,
+        "t": args.t,
         "q": args.q,
     }
     result = {
-        "volume": rational_str(v),
-        "deficiency": rational_str(deficiency(ls)),
-        "finite_denominators": _tuple_strs(ls.finite_denominators),
+        "volume": v,
+        "deficiency": deficiency(ls),
+        "finite_denominators": ls.finite_denominators,
         "ones": ls.ones_count,
         "bpf_index": str(bpf_index(ls)) if v >= 0 else None,
     }
     if t is not None:
         q = _q(args.q, t)
-        result["t"] = rational_str(t)
+        result["t"] = t
         result["q"] = q
-        result["gap_bound"] = rational_str(gap_bound(args.dim, t, q))
-        result["index_bound"] = rational_str(index_bound(args.dim, t, q))
+        result["gap_bound"] = gap_bound(args.dim, t, q)
+        result["index_bound"] = index_bound(args.dim, t, q)
         try:
-            refined = refined_index_bound(args.dim, ls.ones_count, t, q)
-            result["refined_index_bound"] = rational_str(refined)
+            result["refined_index_bound"] = refined_index_bound(args.dim, ls.ones_count, t, q)
         except ValueError:
             result["refined_index_bound"] = None
     lines = _scalars(result, "volume", "bpf_index", "gap_bound", "index_bound",
                      "refined_index_bound")
-    if v < 0:
-        lines.insert(1, "bpf_index = undefined (negative volume)")
+    if v < 0:  # after the volume line
+        lines = [next(lines), "bpf_index = undefined (negative volume)", *lines]
     _emit(args, inputs, result, lines)
     return 0
 

@@ -71,25 +71,22 @@ class VerificationReport:
         return self
 
 
-def _json(fields: dict[str, Any]) -> dict[str, Any]:
-    # rationals travel as 'p/q', tuples of integers and a sweep's deltas as
-    # lists of decimal strings (integers outgrow 64 bits); structural ints
-    # (k, q, counts), strings and None stay as they are
-    return {
-        key: str(value) if type(value) is Fraction
-        else [str(v) for v in value] if type(value) in (tuple, list)
-        else value
-        for key, value in fields.items()
-    }
+# the types of dict values that wire leaves as they are, tested in its
+# dict branch to spare a call per value
+_AS_IS = frozenset((int, str, bool, type(None)))
 
 
-def _detail(key: str, value):
-    # max_lcm_search's three keys: a count, an lcm (None for an empty
-    # class) and the tuples attaining it
-    if key == "max_lcm":
-        return None if value is None else str(value)
-    if key == "maximizers":
-        return [[str(m) for m in t] for t in value]
+def wire(value):
+    """The one JSON rule, since the paper's values outgrow 64 bits: a
+    Fraction becomes 'p/q', a tuple or list a list whose ints are decimal
+    strings, a dict is converted value by value, and anything else (a
+    count, a modulus, a string, a bool, None) stays as it is."""
+    if type(value) is Fraction:
+        return str(value)
+    if type(value) in (tuple, list):
+        return [str(v) if type(v) is int else wire(v) for v in value]
+    if type(value) is dict:
+        return {key: v if type(v) in _AS_IS else wire(v) for key, v in value.items()}
     return value
 
 
@@ -97,19 +94,21 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
     """JSON-ready dict: {passed, parameters, counterexamples,
     equality_witnesses, stats}, plus budget/details fields when relevant.
 
-    One rule converts the parameters and every field of every
-    counterexample and witness: a Fraction becomes 'p/q', a tuple or list
-    a list of decimal strings, and anything else stays as it is.
+    wire converts the parameters, every field of every counterexample and
+    witness, and the details; max_lcm, the one integer of the details held
+    outside a tuple, is converted here.
     """
     out: dict[str, Any] = {
         "passed": report.passed,
-        "parameters": _json(report.parameters),
-        "counterexamples": [_json(vars(c)) for c in report.counterexamples],
-        "equality_witnesses": [_json(vars(w)) for w in report.equality_witnesses],
+        "parameters": wire(report.parameters),
+        "counterexamples": [wire(vars(c)) for c in report.counterexamples],
+        "equality_witnesses": [wire(vars(w)) for w in report.equality_witnesses],
         "stats": {"nodes": report.stats.nodes, "millis": report.stats.millis},
     }
     if report.budget_exceeded:
         out["budget_exceeded"] = True
     if report.details:
-        out["details"] = {k: _detail(k, v) for k, v in report.details.items()}
+        details = out["details"] = wire(report.details)
+        if details["max_lcm"] is not None:
+            details["max_lcm"] = str(details["max_lcm"])
     return out

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from egyfrac import __version__, cli
+from egyfrac import __version__, cli, report
 from egyfrac.bounds import EqualityCase, EqualityFamily
 from egyfrac.cli import main
 from egyfrac.egyptian import enumerate_exact
@@ -212,22 +213,24 @@ def test_greedy_reports_x_as_its_sum(capsys, monkeypatch):
 def test_extremal_sums_its_tuple_once(capsys, monkeypatch, kind):
     # only in the constructor's assert: classify_equality matches by
     # structure, and the reported sum is the one the requested kind fixes;
-    # gap's sum is its bound's string, so only delta and the bound, and for
-    # lcm its sum k - delta, are converted
+    # text and csv print only the tuple, so convert no rational, and json
+    # converts delta, the bound and the sum, which for gap is the bound
+    # again
     sums, strs = [], []
-    real, real_str = cli.tuple_sum, cli.rational_str
+    real = cli.tuple_sum
 
     def counted(t):
         sums.append(1)
         return real(t)
 
-    def counted_str(x):
-        strs.append(x)
-        return real_str(x)
+    def counted_str(value=""):
+        if type(value) is Fraction:
+            strs.append(value)
+        return str(value)
 
     monkeypatch.setattr("egyfrac.bounds.tuple_sum", counted)
     monkeypatch.setattr(cli, "tuple_sum", counted)
-    monkeypatch.setattr(cli, "rational_str", counted_str)
+    monkeypatch.setattr(report, "str", counted_str, raising=False)
     denominators, total, lcm, family = _DEEP_EXTREMAL[kind]
     bound = total if kind == "gap" else lcm  # each tuple attains its bound
     argv = ["extremal", "--kind", kind, "--k", "8", "--delta", "6"]
@@ -237,7 +240,7 @@ def test_extremal_sums_its_tuple_once(capsys, monkeypatch, kind):
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
         assert len(sums) == (1 if __debug__ else 0), fmt
-        assert len(strs) == (2 if kind == "gap" else 3), fmt
+        assert len(strs) == (3 if fmt == "json" else 0), fmt
         if fmt == "json":
             result = json.loads(out)["result"]
             assert list(result.items()) == [
@@ -334,10 +337,22 @@ def test_sylvester_digit_limit_holds_for_u_only(capsys):
                         "for integer string conversion", err), err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_late_line_past_the_digit_limit_leaves_stdout_empty(capsys, fmt):
+    # the gap, 1/u(15, 1) of 3,336 digits, converts; the sharp sum bound at
+    # k = 10^1000 has a numerator of about 4,336 digits and does not, so
+    # every line must be built before the first is printed
+    code, out, err = run(capsys, "gap", "--delta", "13", "--k", "1" + "0" * 1000,
+                         "--format", fmt)
+    assert (code, out) == (1, "")
+    assert re.match(r"egyfrac: error: Exceeds the limit \(4300( digits)?\) "
+                    "for integer string conversion", err), err
+
+
 @pytest.fixture
 def converted(monkeypatch):
-    """The ints cli converts through str, in call order: a counting str
-    in cli's namespace, over the builtin."""
+    """The ints cli and report convert through str, in call order: a
+    counting str in each namespace, over the builtin."""
     seen = []
     builtin = str
 
@@ -347,30 +362,38 @@ def converted(monkeypatch):
         return builtin(value)
 
     monkeypatch.setattr(cli, "str", counting, raising=False)
+    monkeypatch.setattr(report, "str", counting, raising=False)
     return seen
 
 
+def _extremal_ints(kind):
+    denominators, _, lcm, _ = _DEEP_EXTREMAL[kind]
+    return [*map(int, denominators.split()), int(lcm)]
+
+
 _CONVERTED = [
-    # argv, the ints converted (in any order) in every format the command
-    # takes: the JSON envelope's integer strings, whichever format prints
-    (["greedy", "7/2"], [1, 1, 1, 2]),
-    (["split", "2,3", "--at", "2"], [2, 3, 2, 4, 12]),
-    (["enumerate", "--sum", "1", "--terms", "3"], [2, 3, 6, 2, 4, 4, 3, 3, 3]),
+    # argv, then the ints converted (in any order) in text and csv, which
+    # convert only what they print, and in json, whose envelope carries
+    # them as strings; extremal converts its lcm in every format
+    (["greedy", "7/2"], [1, 1, 1, 2], [1, 1, 1, 2]),
+    (["split", "2,3", "--at", "2"], [2, 4, 12], [2, 3, 2, 4, 12]),
+    (["enumerate", "--sum", "1", "--terms", "3"],
+     [2, 3, 6, 2, 4, 4, 3, 3, 3], [2, 3, 6, 2, 4, 4, 3, 3, 3]),
     (["extremal", "--kind", "gap", "--k", "8", "--delta", "6"],
-     [*map(int, _DEEP_EXTREMAL["gap"][0].split()), int(_DEEP_EXTREMAL["gap"][2])]),
+     _extremal_ints("gap"), _extremal_ints("gap")),
     (["extremal", "--kind", "lcm", "--k", "8", "--delta", "6"],
-     [*map(int, _DEEP_EXTREMAL["lcm"][0].split()), int(_DEEP_EXTREMAL["lcm"][2])]),
+     _extremal_ints("lcm"), _extremal_ints("lcm")),
 ]
 
 
-@pytest.mark.parametrize("argv, ints", _CONVERTED,
+@pytest.mark.parametrize("argv, printed, envelope", _CONVERTED,
                          ids=["greedy", "split", "enumerate", "extremal-gap", "extremal-lcm"])
-def test_each_printed_integer_is_converted_once(capsys, converted, argv, ints):
+def test_each_printed_integer_is_converted_once(capsys, converted, argv, printed, envelope):
     for fmt in ("text", "json", "csv"):  # each of these commands takes csv
         converted.clear()
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
-        assert sorted(converted) == sorted(ints), fmt
+        assert sorted(converted) == sorted(envelope if fmt == "json" else printed), fmt
 
 
 def test_sylvester_converts_each_u_once_and_no_t(capsys, converted):
@@ -925,7 +948,7 @@ def test_plain_argv_never_reaches_argparse(capsys, monkeypatch):
     argvs = [
         *(shlex.split(command) for command, _ in _readme_examples()),
         *_FORMAT_ARGVS,
-        *([*argv, "--format", fmt] for argv, _ in _CONVERTED for fmt in formats(argv[0])),
+        *([*argv, "--format", fmt] for argv, *_ in _CONVERTED for fmt in formats(argv[0])),
         *([*argv, "--format", fmt] for argv in _QUERY_SHAPES for fmt in formats(argv[0])),
     ]
     monkeypatch.setattr(cli._Parser, "parse_args", refuse)

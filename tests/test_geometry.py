@@ -193,9 +193,21 @@ def test_bpf_index_random_structures():
         if v < 0:
             continue
         r = bpf_index(ls)
-        # the internal asserts already enforce these; restate them here
+        # r clears every coefficient by construction, and bpf_index asserts
+        # the index bound; restate both here
         assert all((r * c.value).denominator == 1 for c in ls.coefficients)
         assert r <= index_bound(ls.dim, v, canonical_q(v))
+
+
+@pytest.mark.skipif(not __debug__, reason="the index-bound check is an assert")
+def test_bpf_index_asserts_the_index_bound(monkeypatch):
+    # the bound holds on every structure, so only a lowered bound shows
+    # that the check runs
+    monkeypatch.setattr("egyfrac.geometry.index_bound", lambda dim, t, q: F(5))
+    ls = LogStructure(1, (finite(2), finite(3), finite(6), ONE))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"clearing index 6 above the index bound for {ls}")):
+        bpf_index(ls)
 
 
 def _fraction_volume(ls):

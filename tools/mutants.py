@@ -105,7 +105,22 @@ MUTANTS = [
     Mutant("json-tuple-unconverted", REPORT,
            "type(value) in (tuple, list)", "type(value) is list",
            (T_ORACLE + "test_report_json_is_pinned[window]",
-            T_CLI + "test_oracle_prints_each_counterexample")),
+            T_CLI + "test_oracle_prints_each_counterexample",
+            T_CLI + "test_greedy_json_envelope")),
+    # report.wire is the one JSON rule: ints inside a tuple or list become
+    # decimal strings, and a count, a modulus or a row number stays a number
+    Mutant("wire-keeps-listed-ints", REPORT,
+           "[str(v) if type(v) is int else wire(v) for v in value]",
+           "[wire(v) for v in value]",
+           (T_ORACLE + "test_report_json_is_pinned[window]",
+            T_CLI + "test_greedy_json_envelope",
+            T_CLI + "test_each_printed_integer_is_converted_once[split]")),
+    Mutant("wire-stringifies-counts", REPORT,
+           "v if type(v) in _AS_IS else wire(v)",
+           "str(v) if type(v) is int else v if type(v) in _AS_IS else wire(v)",
+           (T_ORACLE + "test_report_json_is_pinned[window]",
+            T_CLI + "test_greedy_json_envelope",
+            T_CLI + "test_sylvester_table")),
     Mutant("text-counterexample-reworded", CLI,
            'f"counterexample: {c.claim} values=', 'f"counterexample {c.claim} values=',
            (T_CLI + "test_oracle_prints_each_counterexample",)),
@@ -362,7 +377,7 @@ MUTANTS = [
     # max_lcm_search's largest lcm, a decimal string in JSON like every
     # mathematical integer
     Mutant("detail-max-lcm-unconverted", REPORT,
-           "return None if value is None else str(value)", "return value",
+           'details["max_lcm"] = str(details["max_lcm"])', 'details["max_lcm"] = details["max_lcm"]',
            (T_ORACLE + "test_report_json_is_pinned[lcm-ties]",)),
     # extremal patterns and classification
     Mutant("pattern-builds-before-divisibility", BOUNDS,
@@ -466,24 +481,27 @@ MUTANTS = [
            (T_RATIONALS + "test_bool_integers_are_refused[sharp_sum_bound]",)),
     # cmd_extremal takes its sum from the requested kind
     Mutant("extremal-sums-its-tuple", CLI,
-           'result["bound"] if args.kind == "gap" else rational_str(args.k - args.delta)',
-           "rational_str(tuple_sum(t))",
+           'bound if args.kind == "gap" else args.k - args.delta', "tuple_sum(t)",
            (T_CLI + "test_extremal_sums_its_tuple_once",)),
     Mutant("extremal-gap-sum-from-class", CLI,
-           'result["bound"] if args.kind == "gap" else rational_str(args.k - args.delta)',
-           "rational_str(args.k - args.delta)",
+           'bound if args.kind == "gap" else args.k - args.delta', "args.k - args.delta",
            (T_CLI + "test_extremal_sums_its_tuple_once[gap]",)),
     # each printed integer is converted to decimal once: t is carried from
-    # u's digits, and text and csv rows join the strings result holds
+    # u's digits, and text and csv convert only the rows they print
     Mutant("sylvester-t-carry-dropped", CLI,
            'stem = digits.rstrip("9")', "stem = digits",
            (T_CLI + "test_successor_is_the_decimal_of_u_plus_1",
             T_CLI + "test_sylvester_carries_t_from_u")),
     Mutant("emit-rows-reconverted", CLI,
-           "lines = (sep.join(row) for row in rows)",
-           "lines = (sep.join(str(int(v)) for v in row) for row in rows)",
+           "lines = (sep.join(map(str, row)) for row in rows)",
+           "lines = (sep.join(str(int(str(v))) for v in row) for row in rows)",
            (T_CLI + "test_each_printed_integer_is_converted_once",
             T_CLI + "test_sylvester_converts_each_u_once_and_no_t")),
+    # every line is built before the first is printed, so exit 1 leaves
+    # stdout empty
+    Mutant("emit-prints-while-converting", CLI,
+           "    for line in list(lines):", "    for line in lines:",
+           (T_CLI + "test_a_late_line_past_the_digit_limit_leaves_stdout_empty[text]",)),
     # plain argv is read from the parser's actions, to the same result as
     # argparse, and everything else is left to argparse
     Mutant("plain-parse-skips-choices", CLI,
@@ -532,6 +550,11 @@ MUTANTS = [
            "_less_finite_sum(len(ls.finite_denominators) - ls.dim - 1, ls)",
            (T_GEOMETRY + "test_volume_deficiency_frozen",
             T_GEOMETRY + "test_volume_deficiency_and_index_match_the_fraction_reference")),
+    # bpf_index keeps one check, the paper's index bound, which a lowered
+    # bound must trip
+    Mutant("bpf-index-bound-unchecked", GEOMETRY,
+           "    assert r <= index_bound(ls.dim, v, canonical_q(v)), (", "    assert True, (",
+           (T_GEOMETRY + "test_bpf_index_asserts_the_index_bound",)),
     # a report times its run from when it was built
     Mutant("report-clock-restarts-at-finish", REPORT,
            "time.perf_counter() - self.started", "time.perf_counter() - time.perf_counter()",
