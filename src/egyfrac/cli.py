@@ -4,8 +4,9 @@ Subcommands: greedy, split, enumerate, gap, lcm-bound, extremal, sylvester,
 oracle, geometry. Every command honors --format text|json; greedy, split,
 enumerate and extremal, whose output is a list of tuples, also take csv, and
 any other format is a usage error (exit 1). JSON output is an envelope
-{command, inputs, result, version}; rationals travel as 'p/q' strings and
-mathematical integers as decimal strings, since the values outgrow 64 bits.
+{command, inputs, result, version}, whose inputs are the parsed arguments;
+rationals travel as 'p/q' strings and mathematical integers as decimal
+strings, since the values outgrow 64 bits.
 
 Exit codes: 0 success, 1 usage or domain error (an enumerate past its
 node budget among them), 2 verification failure (counterexample found or
@@ -98,21 +99,23 @@ def _coefficient(token: str) -> StandardCoefficient:
     raise argparse.ArgumentTypeError(f"bad coefficient token {token!r}; use 'm:N' or 'one'")
 
 
-def _emit(args, inputs: dict, result: dict, lines=None, rows=None) -> None:
+def _emit(args, result: dict, lines=None, rows=None, **resolved) -> None:
     """Print one command's output in the chosen format.
 
-    inputs and result hold raw values and fill the JSON envelope, which
-    report.wire converts. Text prints the command's lines, an iterable of
-    strings; rows, an iterable of rows whose entries print through str,
-    print comma-joined as csv, and space-joined as text when the command
-    passes no lines. Only what a format prints is converted, and every line
-    is built before the first is printed, so a value past the interpreter's
-    digit limit fails with stdout still empty.
+    JSON's inputs are args less the parser's command, format and func, with
+    each value the command resolved, a keyword, in place of the parsed one;
+    report.wire converts them and result, both raw. Text prints the
+    command's lines, an iterable of strings; rows, an iterable of rows whose
+    entries print through str, print comma-joined as csv, and space-joined
+    as text when the command passes no lines. Only what a format prints is
+    converted, and every line is built before the first is printed, so a
+    value past the interpreter's digit limit fails with stdout still empty.
     """
     if args.format == "json":
         envelope = {
             "command": args.command,
-            "inputs": inputs,
+            "inputs": {key: resolved.get(key, value) for key, value in vars(args).items()
+                       if key not in ("command", "format", "func")},
             "result": result,
             "version": __version__,
         }
@@ -148,7 +151,7 @@ def cmd_greedy(args) -> int:
     t = greedy(args.x)
     # greedy is exact by construction, so its sum is x
     result = {"denominators": t, "terms": len(t), "sum": args.x}
-    _emit(args, {"x": args.x}, result, rows=[t])
+    _emit(args, result, rows=[t])
     return 0
 
 
@@ -157,33 +160,29 @@ def cmd_split(args) -> int:
     if not 1 <= args.at <= n:
         raise ValueError(f"--at {args.at} is outside 1..{n}, the positions of {n} entries")
     t = split_expand(args.denominators, args.at - 1)  # --at is 1-based
-    inputs = {"denominators": args.denominators, "at": args.at}
-    _emit(args, inputs, {"denominators": t, "sum": tuple_sum(t)}, rows=[t])
+    _emit(args, {"denominators": t, "sum": tuple_sum(t)}, rows=[t])
     return 0
 
 
 def cmd_enumerate(args) -> int:
     tuples = enumerate_exact(args.sum, args.terms)
-    inputs = {"sum": args.sum, "terms": args.terms}
-    _emit(args, inputs, {"tuples": tuples, "count": len(tuples)}, rows=tuples)
+    _emit(args, {"tuples": tuples, "count": len(tuples)}, rows=tuples)
     return 0
 
 
 def cmd_gap(args) -> int:
     q = _q(args.q, args.delta)
-    inputs = {"delta": args.delta, "q": q, "k": args.k}
     result = {"delta": args.delta, "q": q, "gap": gap_amount(args.delta, q)}
     if args.k is not None:
         result["sharp_sum_bound"] = sharp_sum_bound(args.k, args.delta, q)
-    _emit(args, inputs, result, _scalars(result, "gap", "sharp_sum_bound"))
+    _emit(args, result, _scalars(result, "gap", "sharp_sum_bound"), q=q)
     return 0
 
 
 def cmd_lcm_bound(args) -> int:
     q = _q(args.q, args.delta)
-    inputs = {"delta": args.delta, "q": q}
-    result = {**inputs, "lcm_bound": lcm_bound(args.delta, q)}
-    _emit(args, inputs, result, _scalars(result, "lcm_bound"))
+    result = {"delta": args.delta, "q": q, "lcm_bound": lcm_bound(args.delta, q)}
+    _emit(args, result, _scalars(result, "lcm_bound"), q=q)
     return 0
 
 
@@ -195,10 +194,9 @@ def cmd_extremal(args) -> int:
     else:
         t = extremal_lcm_tuple(args.k, args.delta, q)
         bound = lcm_bound(args.delta, q)
-    inputs = {"kind": args.kind, "k": args.k, "delta": args.delta, "q": q}
     result = {"kind": args.kind, "bound": bound, "denominators": None}
     if t is None:
-        _emit(args, inputs, result, ["absent"], rows=[])
+        _emit(args, result, ["absent"], rows=[], q=q)
         return 0
     # each constructor asserts its tuple's sum: the sharp sum bound for gap,
     # k - delta for lcm
@@ -206,12 +204,11 @@ def cmd_extremal(args) -> int:
     result["sum"] = bound if args.kind == "gap" else args.k - args.delta
     result["lcm"] = str(tuple_lcm(t))
     result["family"] = classify_equality(t, args.delta, q).tag.value
-    _emit(args, inputs, result, rows=[t])
+    _emit(args, result, rows=[t], q=q)
     return 0
 
 
 def cmd_sylvester(args) -> int:
-    inputs = {"p": args.p, "q": args.q, "table": args.table}
     # taken before branching, so a bad --p or --q fails the table too
     u_val = sylvester_u(args.p, args.q)
     # each u is converted to decimal once, and t = 1 + u carried from its
@@ -220,22 +217,16 @@ def cmd_sylvester(args) -> int:
         us = (str(sylvester_u(p, args.q)) for p in range(1, args.p + 1))
         table = [{"p": p, "u": u, "t": _successor(u)} for p, u in enumerate(us, 1)]
         # a row is p, u, t: JSON carries p as a number, and text converts it
-        _emit(args, inputs, {"table": table}, rows=map(dict.values, table))
+        _emit(args, {"table": table}, rows=map(dict.values, table))
     else:
         u = str(u_val)
         result = {"u": u, "t": _successor(u)}
-        _emit(args, inputs, result, _scalars(result, "u", "t"))
+        _emit(args, result, _scalars(result, "u", "t"))
     return 0
 
 
 def cmd_oracle(args) -> int:
     report = sweep(args.k_max, args.delta_list, args.q_mode, args.budget)
-    inputs = {
-        "k_max": args.k_max,
-        "delta_list": args.delta_list,
-        "q_mode": args.q_mode,
-        "budget": args.budget,
-    }
     lines = [
         f"passed = {str(report.passed).lower()}",
         f"cells = {report.parameters['cells']}",
@@ -248,7 +239,7 @@ def cmd_oracle(args) -> int:
     for c in report.counterexamples:
         lines.append(f"counterexample: {c.claim} values={list(c.values)} "
                      f"delta={c.delta} q={c.q}")
-    _emit(args, inputs, report_to_dict(report), lines)
+    _emit(args, report_to_dict(report), lines)
     return 0 if report.passed else 2
 
 
@@ -256,12 +247,6 @@ def cmd_geometry(args) -> int:
     ls = LogStructure(args.dim, args.coeffs)
     v = volume(ls)
     t = args.t if args.t is not None else (v if v >= 0 else None)
-    inputs = {
-        "dim": args.dim,
-        "coeffs": [("one" if c.is_one else f"m:{c.m}") for c in args.coeffs],
-        "t": args.t,
-        "q": args.q,
-    }
     result = {
         "volume": v,
         "deficiency": deficiency(ls),
@@ -283,7 +268,7 @@ def cmd_geometry(args) -> int:
                      "refined_index_bound")
     if v < 0:  # after the volume line
         lines = [next(lines), "bpf_index = undefined (negative volume)", *lines]
-    _emit(args, inputs, result, lines)
+    _emit(args, result, lines, coeffs=["one" if c.is_one else f"m:{c.m}" for c in args.coeffs])
     return 0
 
 

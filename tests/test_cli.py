@@ -518,6 +518,17 @@ CSV_COMMANDS = {"greedy", "split", "enumerate", "extremal"}
      {"k_max": 2, "delta_list": ["0", "1/2"], "q_mode": "canonical", "budget": 100000000}),
     (["geometry", "--dim", "1", "--coeffs", "m:2,m:3,m:7,one"],
      {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": None, "q": None}),
+    # forms that argparse reads, not _plain_args: the same inputs, in the
+    # same order
+    (["gap", "--delta=1/2"], {"delta": "1/2", "q": 2, "k": None}),
+    (["oracle", "--k-max=2", "--delta-list=0,1/2"],
+     {"k_max": 2, "delta_list": ["0", "1/2"], "q_mode": "canonical", "budget": 100000000}),
+    (["geometry", "--dim=1", "--coeffs=m:2,m:3,m:7,one"],
+     {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": None, "q": None}),
+    (["lcm-bound", "--del", "5/2", "--q", "4"], {"delta": "5/2", "q": 4}),
+    # coefficients travel as canonical tokens, not as typed
+    (["geometry", "--dim", "1", "--coeffs", "m:+2,m:07,one"],
+     {"dim": 1, "coeffs": ["m:2", "m:7", "one"], "t": None, "q": None}),
 ])
 def test_json_inputs_and_csv_offer(capsys, argv, inputs):
     code, out, _ = run(capsys, *argv, "--format", "json")

@@ -32,3 +32,22 @@ def test_a_failing_property_is_one_failure(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
+
+
+READS_THE_FAULTHANDLER_TIMEOUT = """
+def test_reads_the_timeout(request):
+    # pytest reads the setting as faulthandler does, through float
+    assert float(request.config.getini("faulthandler_timeout")) > 0
+"""
+
+
+def test_a_hung_test_names_itself(tmp_path):
+    # the suite sets no per-test time limit, so a test that hangs must at
+    # least dump its traceback before the CI job's limit ends the run
+    (tmp_path / "test_timeout.py").write_text(READS_THE_FAULTHANDLER_TIMEOUT)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_timeout.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "1 passed" in proc.stdout.splitlines()[-1], proc.stdout + proc.stderr

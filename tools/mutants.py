@@ -502,6 +502,17 @@ MUTANTS = [
     Mutant("emit-prints-while-converting", CLI,
            "    for line in list(lines):", "    for line in lines:",
            (T_CLI + "test_a_late_line_past_the_digit_limit_leaves_stdout_empty[text]",)),
+    # JSON's inputs are the parsed arguments less the parser's own keys,
+    # with a defaulted --q as the command resolved it
+    Mutant("inputs-leak-parser-keys", CLI,
+           'if key not in ("command", "format", "func")}', 'if key not in ("command", "func")}',
+           (T_CLI + "test_json_inputs_and_csv_offer",
+            T_CLI + "test_greedy_json_envelope")),
+    Mutant("inputs-unresolved-q", CLI,
+           '_scalars(result, "gap", "sharp_sum_bound"), q=q)',
+           '_scalars(result, "gap", "sharp_sum_bound"))',
+           (T_CLI + "test_json_inputs_and_csv_offer[argv3-inputs3]",
+            T_CLI + "test_json_inputs_and_csv_offer[argv9-inputs9]")),
     # plain argv is read from the parser's actions, to the same result as
     # argparse, and everything else is left to argparse
     Mutant("plain-parse-skips-choices", CLI,
