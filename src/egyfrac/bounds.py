@@ -97,27 +97,27 @@ def _pattern(k: int, d: SRQ, closing: int) -> EgyptianTuple | None:
     then (1 + u(i, q))/r for i < s, then (closing + u(s, q))/r.
 
     closing=1 gives extremal_gap_tuple's shape, closing=0 extremal_lcm_tuple's.
-    None when k < s, returned at the first entry r fails to divide, before
-    any later (larger) u is built. A k past MAX_TERMS is refused first.
+    None when k < s, returned at the first entry r fails to divide (one
+    divmod each), before any later (larger) u is built. A k past MAX_TERMS
+    is refused first.
     """
     check_terms(k, "k")
     if k < d.s:
         return None
     out = [1] * (k - d.s)
     for i in range(1, d.s + 1):
-        num = (1 if i < d.s else closing) + sylvester_u(i, d.q)
-        if num % d.r:
+        m, rest = divmod((1 if i < d.s else closing) + sylvester_u(i, d.q), d.r)
+        if rest:
             return None
-        out.append(num // d.r)
+        out.append(m)
     return tuple(out)
 
 
 def extremal_gap_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
     """The unique k-tuple attaining the sharp sum bound, or None.
 
-    Shape: k-s ones, then (1 + u(i, q))/r for i = 1..s. Absent when k < s or
-    when r fails to divide some tail numerator. A tuple that is built is
-    asserted to attain the bound, so every caller that builds one checks it.
+    Shape: k-s ones, then (1 + u(i, q))/r for i = 1..s; absent when k < s or
+    r fails to divide an entry. A built tuple is asserted to attain the bound.
     """
     t = _pattern(as_int(k, "k"), srq_decompose(delta, q), 1)
     assert t is None or tuple_sum(t) == sharp_sum_bound(k, delta, q)
@@ -145,20 +145,20 @@ def extremal_lcm_tuple(k: int, delta, q: int) -> EgyptianTuple | None:
 def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
     """Which exact equality family, if any, a tuple belongs to.
 
-    Membership is structural: the tuple must reproduce the extremal pattern
-    for its deficiency, and matching the pattern settles its sum. By the
-    Sylvester identity sum_{i<=p} 1/(1 + u(i, q)) = 1/q - 1/u(p+1, q), the
-    lcm pattern (closed by u(s, q)/r) sums to exactly k - delta and the gap
-    pattern (closed by (1 + u(s, q))/r) to the sharp sum bound
-    k - delta - r/u(s+1, q). So the tuple is never summed: it is compared
-    with the two patterns, and is NONE if it matches neither. The gap
-    pattern's sum lies below k - delta by a positive gap, so no tuple is in
-    both families.
+    Membership is structural: t is in a family exactly when it equals that
+    family's extremal tuple of its length, which by the Sylvester identity
+    sum_{i<=p} 1/(1 + u(i, q)) = 1/q - 1/u(p+1, q) sums to k - delta (lcm)
+    or to the sharp sum bound (gap); t is never summed. The two differ in
+    their last entry, so no t is in both families.
 
     Gap families by delta range, read from s = floor(delta) + 1:
     NEGATIVE_DELTA (s = 0: all ones), FRACTIONAL_DELTA (s = 1,
     0 <= delta < 1: single tail term (1+q)/r), SYLVESTER_GAP (s >= 2).
     Lcm families: TWO_TERM_LCM for s = 2 with r > 1, else SYLVESTER_LCM.
+
+    A t empty or shorter than s is NONE before any u is built; any other is
+    compared with a pattern built up to u(s, q), so past the bit ceiling on
+    u, or past MAX_TERMS entries, this raises the constructors' ValueError.
     """
     t = as_tuple(t)
     tag = _family(t, srq_decompose(delta, q))
@@ -166,32 +166,21 @@ def classify_equality(t: Iterable[int], delta, q: int) -> EqualityCase:
 
 
 def _family(t: EgyptianTuple, d: SRQ) -> EqualityFamily:
-    """classify_equality's tag for a valid t at d = srq_decompose(delta, q).
-
-    The two patterns share all but their last entry: k - s ones, then
-    (1 + u(i, q))/r for i < s. That part is checked once, each entry m as
-    m*r == 1 + u(i, q), so no quotient is taken. The last entry then
-    closes the lcm pattern when last*r == u(s, q) and the gap pattern when
-    it is one more. At s = 0 both patterns are the k ones, and only the gap
-    family is defined there.
-    """
-    k = len(t)
-    s, r, q = d.s, d.r, d.q
-    ones = k - s
-    if k == 0 or ones < 0 or any(m != 1 for m in t[:ones]):
+    """classify_equality's tag for a valid t at d = srq_decompose(delta, q):
+    t's last entry m names the one pattern t can be, _pattern's with closing
+    m*r - u(s, q), 0 for lcm and 1 for gap (1 at s = 0, where only gap is)."""
+    k, s, r = len(t), d.s, d.r
+    if k == 0 or k < s:
         return EqualityFamily.NONE
-    for i in range(1, s):
-        if t[ones + i - 1] * r != 1 + sylvester_u(i, q):
-            return EqualityFamily.NONE
-    closing = t[-1] * r - sylvester_u(s, q) if s else 1
+    closing = t[-1] * r - sylvester_u(s, d.q) if s else 1
+    if closing not in (0, 1) or t != _pattern(k, d, closing):
+        return EqualityFamily.NONE
     if closing == 0:
         if s == 2 and r > 1:
             return EqualityFamily.TWO_TERM_LCM
         return EqualityFamily.SYLVESTER_LCM
-    if closing == 1:
-        if s > 1:
-            return EqualityFamily.SYLVESTER_GAP
-        if s == 1:
-            return EqualityFamily.FRACTIONAL_DELTA
-        return EqualityFamily.NEGATIVE_DELTA
-    return EqualityFamily.NONE
+    if s > 1:
+        return EqualityFamily.SYLVESTER_GAP
+    if s == 1:
+        return EqualityFamily.FRACTIONAL_DELTA
+    return EqualityFamily.NEGATIVE_DELTA

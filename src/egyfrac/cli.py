@@ -268,7 +268,8 @@ def cmd_geometry(args) -> int:
                      "refined_index_bound")
     if v < 0:  # after the volume line
         lines = [next(lines), "bpf_index = undefined (negative volume)", *lines]
-    _emit(args, result, lines, coeffs=["one" if c.is_one else f"m:{c.m}" for c in args.coeffs])
+    _emit(args, result, lines, coeffs=["one" if c.is_one else f"m:{c.m}" for c in args.coeffs],
+          t=t, q=result.get("q", args.q))
     return 0
 
 

@@ -100,9 +100,13 @@ def deficiency(ls: LogStructure) -> Fraction:
     return _less_finite_sum(len(ls.coefficients) - ls.ones_count, ls)
 
 
-def _threshold(dim: int, t) -> Fraction:
+def _threshold(dim: int, t, q: int) -> Fraction:
+    """t as a Fraction, with dim, t, q and q*t checked in that order."""
     as_int(dim, "dimension")
-    return as_rational(t, "threshold", 0)
+    t = as_rational(t, "threshold", 0)
+    if as_int(q, "q") % t.denominator:
+        raise ValueError(f"q*t must be an integer, got q={q}, t={t}")
+    return t
 
 
 def gap_bound(dim: int, t, q: int) -> Fraction:
@@ -114,7 +118,7 @@ def gap_bound(dim: int, t, q: int) -> Fraction:
     refined_index_bound for the sharper index that uses the number of
     coefficients equal to one.
     """
-    return gap_amount(_threshold(dim, t) + dim + 1, q)
+    return gap_amount(_threshold(dim, t, q) + dim + 1, q)
 
 
 def index_bound(dim: int, t, q: int) -> Fraction:
@@ -124,7 +128,7 @@ def index_bound(dim: int, t, q: int) -> Fraction:
 
     Requires t >= 0 with q*t integral.
     """
-    return lcm_bound(_threshold(dim, t) + dim + 1, q)
+    return lcm_bound(_threshold(dim, t, q) + dim + 1, q)
 
 
 def refined_index_bound(dim: int, ones: int, t, q: int) -> Fraction:
@@ -132,7 +136,7 @@ def refined_index_bound(dim: int, ones: int, t, q: int) -> Fraction:
     available when `ones` coefficients equal one: the lcm bound at the
     deficiency delta = t + dim - ones + 1, which must stay >= 0.
     """
-    t = _threshold(dim, t)
+    t = _threshold(dim, t, q)
     return lcm_bound(t + dim - as_int(ones, "ones", 0) + 1, q)
 
 

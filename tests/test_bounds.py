@@ -540,6 +540,23 @@ def test_classify_never_sums_a_deep_extremal_tuple(monkeypatch, kind, delta, q):
     assert (len(sums), len(lcms)) == (0, 0)
 
 
+def test_classify_at_the_bit_ceiling(monkeypatch):
+    # a tuple shorter than s is NONE before any u is built, though u(30, 1)
+    # is far past the ceiling on Sylvester values
+    assert classify_equality((1,), 30, 1).tag is EqualityFamily.NONE
+    # any other is compared with the pattern up to u(s, q), so past the
+    # ceiling it is refused as the constructor refuses that k
+    for refuse in (lambda: classify_equality((1,) * 23, 22, 1),
+                   lambda: extremal_gap_tuple(23, 22, 1)):
+        with pytest.raises(ValueError, match="passes the 1048576-bit ceiling"):
+            refuse()
+    # and so past the term ceiling
+    monkeypatch.setattr(egyptian, "MAX_TERMS", 4)
+    assert classify_equality((1,) * 4, -1, 1).tag is EqualityFamily.NEGATIVE_DELTA
+    with pytest.raises(ValueError, match="^k = 5 asks for more than MAX_TERMS = 4 terms$"):
+        classify_equality((1,) * 5, -1, 1)
+
+
 def test_constructors_still_assert_the_bounds(monkeypatch):
     monkeypatch.setattr(bounds, "tuple_sum", lambda t: Fraction(0))
     with pytest.raises(AssertionError):

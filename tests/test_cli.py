@@ -517,18 +517,21 @@ CSV_COMMANDS = {"greedy", "split", "enumerate", "extremal"}
     (["oracle", "--k-max", "2", "--delta-list", "0,1/2"],
      {"k_max": 2, "delta_list": ["0", "1/2"], "q_mode": "canonical", "budget": 100000000}),
     (["geometry", "--dim", "1", "--coeffs", "m:2,m:3,m:7,one"],
-     {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": None, "q": None}),
+     {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": "43/42", "q": 42}),
     # forms that argparse reads, not _plain_args: the same inputs, in the
     # same order
     (["gap", "--delta=1/2"], {"delta": "1/2", "q": 2, "k": None}),
     (["oracle", "--k-max=2", "--delta-list=0,1/2"],
      {"k_max": 2, "delta_list": ["0", "1/2"], "q_mode": "canonical", "budget": 100000000}),
     (["geometry", "--dim=1", "--coeffs=m:2,m:3,m:7,one"],
-     {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": None, "q": None}),
+     {"dim": 1, "coeffs": ["m:2", "m:3", "m:7", "one"], "t": "43/42", "q": 42}),
     (["lcm-bound", "--del", "5/2", "--q", "4"], {"delta": "5/2", "q": 4}),
     # coefficients travel as canonical tokens, not as typed
     (["geometry", "--dim", "1", "--coeffs", "m:+2,m:07,one"],
-     {"dim": 1, "coeffs": ["m:2", "m:7", "one"], "t": None, "q": None}),
+     {"dim": 1, "coeffs": ["m:2", "m:7", "one"], "t": "5/14", "q": 14}),
+    # a negative volume resolves no threshold, so t and q stay unset
+    (["geometry", "--dim", "1", "--coeffs", "m:2,one"],
+     {"dim": 1, "coeffs": ["m:2", "one"], "t": None, "q": None}),
 ])
 def test_json_inputs_and_csv_offer(capsys, argv, inputs):
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -653,6 +656,14 @@ def test_geometry_explicit_threshold(capsys):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["result"]["refined_index_bound"] is None
+
+
+def test_geometry_threshold_off_its_q(capsys):
+    # the error names the t and q given, not the deficiency built from them
+    code, out, err = run(capsys, "geometry", "--dim", "1", "--coeffs", "m:2",
+                         "--t", "1/2", "--q", "3")
+    assert (code, out) == (1, "")
+    assert err == "egyfrac: error: q*t must be an integer, got q=3, t=1/2\n"
 
 
 def test_geometry_bad_coefficient(capsys):

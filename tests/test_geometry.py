@@ -101,13 +101,17 @@ def test_index_bound_frozen():
 
 
 def test_threshold_bounds_reject_bad_input():
-    for fn in (gap_bound, index_bound):
+    def refined(dim, t, q):
+        return refined_index_bound(dim, 0, t, q)
+
+    for fn in (gap_bound, index_bound, refined):
         with pytest.raises(ValueError):
             fn(0, 0, 1)
         with pytest.raises(ValueError):
             fn(1, F(-1, 2), 2)
-        with pytest.raises(ValueError):
-            fn(1, F(1, 2), 3)  # q*t not integral
+        # q*t not integral: named by the t given, not the delta built from it
+        with pytest.raises(ValueError, match=r"^q\*t must be an integer, got q=3, t=1/2$"):
+            fn(1, F(1, 2), 3)
 
 
 def test_refined_index_bound():

@@ -381,15 +381,16 @@ MUTANTS = [
            (T_ORACLE + "test_report_json_is_pinned[lcm-ties]",)),
     # extremal patterns and classification
     Mutant("pattern-builds-before-divisibility", BOUNDS,
-           "        if num % d.r:\n            return None\n"
-           "        out.append(num // d.r)\n    return tuple(out)",
-           "        out.append(num)\n"
+           "        m, rest = divmod((1 if i < d.s else closing) + sylvester_u(i, d.q), d.r)\n"
+           "        if rest:\n            return None\n"
+           "        out.append(m)\n    return tuple(out)",
+           "        out.append((1 if i < d.s else closing) + sylvester_u(i, d.q))\n"
            "    if any(num % d.r for num in out[k - d.s:]):\n        return None\n"
            "    return tuple(out[:k - d.s]) + tuple(num // d.r for num in out[k - d.s:])",
            (T_BOUNDS + "test_extremal_tuples_stop_at_the_first_entry_r_fails_to_divide",)),
     Mutant("classify-closings-swapped", BOUNDS,
-           "    if closing == 0:\n" + _LCM_FAMILIES + "    if closing == 1:",
-           "    if closing == 1:\n" + _LCM_FAMILIES + "    if closing == 0:",
+           "    if closing == 0:\n" + _LCM_FAMILIES + "    if s > 1:",
+           "    if closing == 1:\n" + _LCM_FAMILIES + "    if s > 1:",
            (T_BOUNDS + "test_classify_gap_families",
             T_BOUNDS + "test_classify_lcm_families")),
     Mutant("classify-delta-guard-dropped", BOUNDS,
@@ -397,14 +398,22 @@ MUTANTS = [
            (T_BOUNDS + "test_classify_gap_families",
             T_BOUNDS + "test_every_tagged_tuple_sums_to_its_familys_value")),
     Mutant("classify-fractional-takes-negative", BOUNDS,
-           "        if s == 1:", "        if s <= 1:",
+           "    if s == 1:\n        return EqualityFamily.FRACTIONAL_DELTA",
+           "    if s <= 1:\n        return EqualityFamily.FRACTIONAL_DELTA",
            (T_BOUNDS + "test_classify_gap_families",)),
-    Mutant("classify-skips-shared-part", BOUNDS,
-           "    for i in range(1, s):\n"
-           "        if t[ones + i - 1] * r != 1 + sylvester_u(i, q):\n"
-           "            return EqualityFamily.NONE\n",
-           "",
-           (T_BOUNDS + "test_classify_matches_the_reference_on_arbitrary_tuples",)),
+    # the tag is read from t's last entry alone unless t is compared with
+    # the one pattern that entry names
+    Mutant("classify-skips-the-pattern", BOUNDS,
+           "    if closing not in (0, 1) or t != _pattern(k, d, closing):",
+           "    if closing not in (0, 1):",
+           (T_BOUNDS + "test_classify_matches_the_reference_on_arbitrary_tuples",
+            T_BOUNDS + "test_classify_equality_accepts_exactly_the_extremal_tuples",
+            T_BOUNDS + "test_classify_matches_the_reference_on_extremal_tuples_and_neighbours")),
+    # a tuple shorter than s is NONE before any u is built, so a deep delta
+    # does not reach the bit ceiling
+    Mutant("classify-short-tuple-builds", BOUNDS,
+           "    if k == 0 or k < s:\n", "    if k == 0:\n",
+           (T_BOUNDS + "test_classify_at_the_bit_ceiling",)),
     # the decomposition and the bounds on integer pairs
     Mutant("srq-refuses-delta-minus-one", RATIONALS,
            "x.numerator < least * x.denominator", "x.numerator <= least * x.denominator",
@@ -513,6 +522,12 @@ MUTANTS = [
            '_scalars(result, "gap", "sharp_sum_bound"))',
            (T_CLI + "test_json_inputs_and_csv_offer[argv3-inputs3]",
             T_CLI + "test_json_inputs_and_csv_offer[argv9-inputs9]")),
+    # geometry's inputs show the threshold and q it resolved from the volume
+    Mutant("geometry-inputs-unresolved", CLI,
+           't=t, q=result.get("q", args.q))', "t=args.t, q=args.q)",
+           (T_CLI + "test_json_inputs_and_csv_offer[argv8-inputs8]",
+            T_CLI + "test_json_inputs_and_csv_offer[argv11-inputs11]",
+            T_CLI + "test_json_inputs_and_csv_offer[argv13-inputs13]")),
     # plain argv is read from the parser's actions, to the same result as
     # argparse, and everything else is left to argparse
     Mutant("plain-parse-skips-choices", CLI,
@@ -561,6 +576,12 @@ MUTANTS = [
            "_less_finite_sum(len(ls.finite_denominators) - ls.dim - 1, ls)",
            (T_GEOMETRY + "test_volume_deficiency_frozen",
             T_GEOMETRY + "test_volume_deficiency_and_index_match_the_fraction_reference")),
+    # the threshold bounds check q*t themselves, so the error names the t
+    # given and not the deficiency built from it
+    Mutant("threshold-q-unchecked", GEOMETRY,
+           '    if as_int(q, "q") % t.denominator:\n', "    if False:\n",
+           (T_GEOMETRY + "test_threshold_bounds_reject_bad_input",
+            T_CLI + "test_geometry_threshold_off_its_q")),
     # bpf_index keeps one check, the paper's index bound, which a lowered
     # bound must trip
     Mutant("bpf-index-bound-unchecked", GEOMETRY,
